@@ -2,8 +2,9 @@
 
 Predictions and psychophysical ground truth live on different scales, so
 predictions are first linearized through a monotonic third-order
-polynomial (least-squares cubic plus a soft derivative penalty on a dense
-grid over the data hull), then scored with Pearson correlation and RMSE.
+polynomial (the exact least-squares cubic whose derivative keeps one sign
+on a dense grid over the data hull), then scored with Pearson correlation
+and RMSE.
 Patches whose mean luminance falls outside a configurable band can be
 excluded, mirroring the outlier analysis of under-represented very dark
 and very bright content.
@@ -17,15 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .image_io import GrayImage
 from .inference import ThresholdMap
 
 DEFAULT_LUMINANCE_BAND = (10.0, 250.0)
-PENALTY_WEIGHT = 1e3
 DERIVATIVE_GRID = 256
-DERIVATIVE_TOLERANCE = 1e-9
-MAX_FIT_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +60,7 @@ class MonotoneCubic:
     through the standardized variable t = (x - center)/scale with
     `scaled_coefficients`, which stays numerically stable even when the
     x values are nearly constant and the raw-scale coefficients blow up.
+    Fits from fit_monotonic_cubic are exact, so `converged` is True.
     """
 
     coefficients: tuple[float, float, float, float]
@@ -135,60 +134,64 @@ def rmse(pred, gt) -> float:
     return float(np.sqrt(np.mean((pred - gt) ** 2)))
 
 
-def _penalized_descent(phi, y, psi, s, lam, c, budget, tol=1e-12):
-    """Backtracking gradient descent on SSE + lam * hinge(derivative)^2 (convex)."""
+def _nnls(e, f) -> np.ndarray:
+    """argmin ||e @ lam - f|| over lam >= 0, by Lawson and Hanson's active-set method.
 
-    def objective(coeff):
-        resid = phi @ coeff - y
-        viol = np.maximum(0.0, -s * (psi @ coeff))
-        return float(resid @ resid + lam * (viol @ viol)), resid, viol
-
-    value, resid, viol = objective(c)
-    eta = 1.0
-    used = 0
-    converged = False
-    while used < budget:
-        used += 1
-        grad = 2.0 * (phi.T @ resid) - 2.0 * lam * s * (psi.T @ viol)
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0:
-            converged = True
-            break
+    Each outer step frees the coordinate with the largest positive dual
+    value; the inner loop steps back toward the previous iterate until
+    every free coordinate is positive.  Finite in exact arithmetic; the
+    3 * columns step bound only guards against rounding-induced cycling.
+    """
+    m, n = e.shape
+    lam = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = max(m, n) * np.finfo(np.float64).eps * float(np.linalg.norm(f))
+    for _ in range(3 * n):
+        w = e.T @ (f - e @ lam)
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return lam
+        passive[j] = True
         while True:
-            trial = c - eta * grad
-            trial_value, trial_resid, trial_viol = objective(trial)
-            if trial_value <= value - 1e-4 * eta * gnorm2 or eta < 1e-20:
+            trial = np.zeros(n)
+            trial[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
+            if np.all(trial[passive] > 0.0):
+                lam = trial
                 break
-            eta *= 0.5
-        if eta < 1e-20:
-            break
-        drop = value - trial_value
-        c, value, resid, viol = trial, trial_value, trial_resid, trial_viol
-        eta = min(eta * 2.0, 1e3)
-        if drop < tol * max(1.0, value):
-            converged = True
-            break
-    return c, converged, used
+            blocked = np.flatnonzero(passive & (trial <= 0.0))
+            ratios = lam[blocked] / (lam[blocked] - trial[blocked])
+            lam = lam + ratios.min() * (trial - lam)
+            lam[blocked[np.argmin(ratios)]] = 0.0
+            passive &= lam > 0.0
+    raise NumericError(f"NNLS did not converge within {3 * n} active-set steps")
 
 
 def fit_monotonic_cubic(x, y) -> MonotoneCubic:
-    """Fit a cubic constrained to be monotone over [min x, max x].
+    """Least-squares cubic constrained to be monotone over [min x, max x].
 
-    The direction is the sign of the raw correlation.  Starting from the
-    closed-form least-squares cubic (on standardized x for conditioning;
-    a direction-consistent line takes over as warm start when it scores a
-    lower penalized objective, which bounds the residual by the monotone
-    linear fit's), gradient descent minimizes the squared residual plus a
-    soft squared hinge on the derivative at 256 uniform grid points.  If
-    the soft penalty leaves a derivative violation beyond tolerance, the
-    penalty weight is escalated and, as a last resort, the linear
-    coefficient is lifted by the residual violation, which restores grid
-    feasibility with a negligible change to the fit.
+    The direction s is the sign of the raw correlation.  On standardized
+    t = (x - mean x)/sd x, with design rows phi = (1, t, t^2, t^3) and
+    derivative rows psi = (0, 1, 2g, 3g^2) at DERIVATIVE_GRID uniform
+    points g over the data hull, the fit solves exactly
+
+        min ||phi c - y||  subject to  s * psi c >= 0.
+
+    The constraints are homogeneous, so the feasible set is a cone.
+    Whitening with phi = Q R turns the problem into projecting
+    z0 = Q^T (y - mean y) onto {z : A z >= 0}, A = s psi R^-1.  By
+    Moreau's decomposition that projection is z0 + A^T lam, where
+    lam = argmin_{lam >= 0} ||A^T lam + z0|| is a small NNLS; then
+    c = R^-1 (z0 + A^T lam).  When the unconstrained cubic is already
+    monotone on the grid, lam = 0 and the fit is the least-squares cubic.
+    Raises NumericError rather than return an unconverged fit.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.size < 4:
         raise DataError("monotone cubic fit needs at least 4 paired points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DataError("monotone cubic fit needs finite x and y values")
     mu, sd = float(x.mean()), float(x.std())
     if sd == 0.0:
         raise DataError("monotone cubic fit undefined for constant x")
@@ -199,40 +202,17 @@ def fit_monotonic_cubic(x, y) -> MonotoneCubic:
     ts = dx / sd
     grid = np.linspace(ts.min(), ts.max(), DERIVATIVE_GRID)
     phi = np.stack([np.ones_like(ts), ts, ts**2, ts**3], axis=1)
+    if np.linalg.matrix_rank(phi) < 4:
+        raise DataError("monotone cubic fit needs at least 4 distinct x values")
     psi = np.stack([np.zeros_like(grid), np.ones_like(grid), 2.0 * grid, 3.0 * grid**2], axis=1)
-    c, *_ = np.linalg.lstsq(phi, y, rcond=None)
-
-    # warm start: the unconstrained cubic, unless the best direction-consistent
-    # line has a lower penalized objective (e.g. noise-dominated x, where the
-    # cubic wiggles wildly); descent from the line bounds the final residual
-    # by the monotone-linear one
-    def penalized(coeff):
-        resid = phi @ coeff - y
-        viol = np.maximum(0.0, -s * (psi @ coeff))
-        return float(resid @ resid + PENALTY_WEIGHT * (viol @ viol))
-
-    slope = float(ts @ dy) / float(ts @ ts)
-    line = np.array([float(y.mean()), slope if s * slope > 0 else 0.0, 0.0, 0.0])
-    if penalized(line) < penalized(c):
-        c = line
-
-    budget = MAX_FIT_ITERATIONS
-    lam = PENALTY_WEIGHT
-    converged = False
-    while budget > 0:
-        stage = min(budget, MAX_FIT_ITERATIONS // 4)
-        c, converged, used = _penalized_descent(phi, y, psi, s, lam, c, stage)
-        budget -= used if converged else stage
-        if float(np.min(s * (psi @ c))) >= -DERIVATIVE_TOLERANCE or lam >= 1e9:
-            break
-        lam *= 100.0
-
-    # final feasibility lift on the standardized grid (no-op when the soft
-    # penalty already satisfies the tolerance)
-    worst = float(np.min(s * (psi @ c)))
-    if worst < 0.0:
-        c = c.copy()
-        c[1] += s * (-worst)
+    q, r = np.linalg.qr(phi)
+    z0 = q.T @ dy
+    a = s * np.linalg.solve(r.T, psi.T).T
+    # unit rows leave the cone unchanged and put the NNLS tolerance in
+    # units of distance from each constraint's hyperplane
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    c = np.linalg.solve(r, z0 + a.T @ _nnls(a.T, -z0))
+    c[0] += y.mean()
 
     # expand to raw-x coefficients for reporting; prediction always goes
     # through the standardized form, which stays stable for tiny sd
@@ -250,7 +230,7 @@ def fit_monotonic_cubic(x, y) -> MonotoneCubic:
         coefficients=coeffs,
         direction="increasing" if s > 0 else "decreasing",
         residual_rmse=rmse(predictions, y),
-        converged=converged,
+        converged=True,
         center=mu,
         scale=sd,
         scaled_coefficients=(c0, c1, c2, c3),

@@ -92,7 +92,6 @@ def _block_mean(grid: np.ndarray, row_edges, col_edges) -> np.ndarray:
     for i in range(out.shape[0]):
         for j in range(out.shape[1]):
             block = grid[row_edges[i] : row_edges[i + 1], col_edges[j] : col_edges[j + 1]]
-            assert block.size > 0, "decimation produced an empty bin"
             out[i, j] = block.mean()
     return out
 
@@ -161,22 +160,26 @@ def load_map(prefix) -> ThresholdMap:
     json_path = prefix.with_name(prefix.name + ".json")
     if not csv_path.exists() or not json_path.exists():
         raise DataError(f"missing exported map files {csv_path} / {json_path}")
-    values = np.array(
-        [[float(v) for v in line.split(",")] for line in csv_path.read_text().strip().splitlines()]
-    )
-    meta = json.loads(json_path.read_text())
-    if values.shape != (meta["grid_rows"], meta["grid_cols"]):
-        raise DataError(
-            f"{csv_path}: value grid {values.shape} does not match sidecar "
-            f"({meta['grid_rows']}, {meta['grid_cols']})"
-        )
-    lum = meta.get("mean_luminance")
+    try:
+        lines = csv_path.read_text().strip().splitlines()
+        values = np.array([[float(v) for v in line.split(",")] for line in lines])
+    except ValueError as exc:
+        raise DataError(f"{csv_path}: malformed map values ({exc})") from None
+    try:
+        meta = json.loads(json_path.read_text())
+        shape = (meta["grid_rows"], meta["grid_cols"])
+        geometry = {
+            k: meta[k] for k in ("origin_stride", "patch_size", "source_width", "source_height")
+        }
+        lum = meta.get("mean_luminance")
+        luminance = np.array(lum) if lum is not None else None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{json_path}: malformed map sidecar ({exc!r})") from None
+    if values.shape != shape:
+        raise DataError(f"{csv_path}: value grid {values.shape} does not match sidecar {shape}")
     return ThresholdMap(
         values=values,
-        origin_stride=meta["origin_stride"],
-        patch_size=meta["patch_size"],
-        source_width=meta["source_width"],
-        source_height=meta["source_height"],
-        mean_luminance=np.array(lum) if lum is not None else None,
+        **geometry,
+        mean_luminance=luminance,
         model_digest=meta.get("model_digest"),
     )

@@ -356,5 +356,8 @@ def load_checkpoint(path) -> tuple[PNetParams, dict]:
         raise DataError(f"{path}: size mismatch, parameter block truncated")
     vec = np.frombuffer(data[header_end:body_end], dtype="<f8").astype(np.float64)
     tail = data[body_end:]
-    meta = json.loads(tail.decode("utf-8")) if tail.strip() else {}
+    try:
+        meta = json.loads(tail.decode("utf-8")) if tail.strip() else {}
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint metadata ({exc})") from None
     return PNetParams.from_vector(vec), meta

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DataError
 from .image_io import GrayImage, load_manifest, load_pgm, save_pgm, write_manifest
+from .training import patch_grid
 
 PATCH = 32
 
@@ -81,13 +82,6 @@ def _texture(rng: np.random.Generator, size: int) -> np.ndarray:
     return 0.1 + 0.8 * (tex - lo) / (hi - lo)
 
 
-def _patch_origins(length: int, stride: int) -> list[int]:
-    origins = list(range(0, length - PATCH + 1, stride))
-    if origins[-1] != length - PATCH:
-        origins.append(length - PATCH)
-    return origins
-
-
 def generate(cfg: SynthConfig, out_dir) -> Path:
     """Write reference/distorted patch pairs plus manifest, config, and oracle.
 
@@ -106,8 +100,8 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
             _quantize(np.clip(ref + rng.uniform(-a, a, ref.shape), 0.0, 1.0))
             for a in cfg.noise_amplitudes
         ]
-        for r in _patch_origins(cfg.image_size, cfg.patch_stride):
-            for c in _patch_origins(cfg.image_size, cfg.patch_stride):
+        for r in patch_grid(cfg.image_size, cfg.patch_stride, PATCH):
+            for c in patch_grid(cfg.image_size, cfg.patch_stride, PATCH):
                 pid = f"img{i:04d}_r{r:03d}_c{c:03d}"
                 ref_crop = ref[r : r + PATCH, c : c + PATCH]
                 save_pgm(GrayImage(ref_crop), out / "ref" / f"{pid}.pgm")

@@ -166,6 +166,8 @@ def adam_step(params, grads, state: AdamState, cfg: TrainConfig, t: int):
     m_hat = m / (1.0 - cfg.adam_beta1**t)
     v_hat = v / (1.0 - cfg.adam_beta2**t)
     p = p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    if not np.all(np.isfinite(p)):
+        raise NumericError(f"Adam step {t} produced non-finite parameters")
     return type(params).from_vector(p), AdamState(m=m, v=v)
 
 

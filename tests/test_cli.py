@@ -86,6 +86,24 @@ class TestPredict:
                     "--stride", "16", "--out", str(tmp_path / "map")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda blob: blob + b"\xff", lambda blob: blob[:-1]],
+        ids=["trailer_not_utf8", "trailer_truncated"],
+    )
+    def test_malformed_checkpoint_trailer_is_data_error(self, tiny_checkpoint, tmp_path,
+                                                        capsys, corrupt):
+        blob = tiny_checkpoint.read_bytes()
+        assert blob.endswith(b"}")  # the JSON metadata trailer
+        bad = tmp_path / "bad.vth"
+        bad.write_bytes(corrupt(blob))
+        img_path = tmp_path / "input.pgm"
+        save_pgm(GrayImage(np.full((32, 32), 0.5)), img_path)
+        code = run(["predict", "--model", str(bad), "--image", str(img_path),
+                    "--out", str(tmp_path / "map")])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestEvaluate:
     @pytest.fixture
@@ -114,6 +132,26 @@ class TestEvaluate:
         assert {"plcc_raw", "plcc_fitted", "rmse_fitted", "n_kept"} <= set(blob)
         out = capsys.readouterr().out
         assert "plcc_fitted" in out
+
+    @pytest.mark.parametrize(
+        "suffix, corrupt",
+        [
+            (".csv", lambda text: "x" + text),
+            (".json", lambda text: text[: len(text) // 2]),
+            (".json", lambda text: json.dumps(
+                {k: v for k, v in json.loads(text).items() if k != "patch_size"})),
+        ],
+        ids=["csv_non_numeric_cell", "sidecar_not_json", "sidecar_missing_patch_size"],
+    )
+    def test_malformed_map_is_data_error(self, prediction, tmp_path, capsys, suffix, corrupt):
+        bad = prediction.with_name(prediction.name + suffix)
+        bad.write_text(corrupt(bad.read_text()))
+        gt = tmp_path / "gt.csv"
+        gt.write_text("row,col,threshold_db\n0,0,-20\n0,1,-18\n1,0,-17\n1,1,-15\n")
+        code = run(["evaluate", "--pred", str(prediction), "--gt", str(gt),
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
 
     def test_finer_gt_than_map_is_data_error(self, prediction, tmp_path):
         gt = tmp_path / "gt.csv"

@@ -1,10 +1,16 @@
+from fractions import Fraction
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import minimize
 
-from visthresh.errors import DataError
+from visthresh import evaluation
+from visthresh.errors import DataError, NumericError
 from visthresh.evaluation import (
     DEFAULT_LUMINANCE_BAND,
+    DERIVATIVE_GRID,
     MonotoneCubic,
     PairedData,
     evaluate,
@@ -24,6 +30,59 @@ def lstsq_cubic(x, y):
     phi = np.stack([np.ones_like(x), x, x**2, x**3], axis=1)
     coeffs, *_ = np.linalg.lstsq(phi, y, rcond=None)
     return coeffs
+
+
+def slsqp_monotone_cubic(x, y, s):
+    """Independent oracle: SLSQP with the 256 grid-derivative constraints as hard constraints.
+
+    Returns the oracle's residual RMSE; the problem is posed on the same
+    standardized x and hull grid as fit_monotonic_cubic.
+    """
+    t = (x - x.mean()) / x.std()
+    grid = np.linspace(t.min(), t.max(), DERIVATIVE_GRID)
+    phi = np.stack([np.ones_like(t), t, t**2, t**3], axis=1)
+    psi = np.stack([np.zeros_like(grid), np.ones_like(grid), 2.0 * grid, 3.0 * grid**2], axis=1)
+    start, *_ = np.linalg.lstsq(phi, y, rcond=None)
+    res = minimize(
+        lambda c: float(np.sum((phi @ c - y) ** 2)), start,
+        jac=lambda c: 2.0 * phi.T @ (phi @ c - y),
+        constraints=[{"type": "ineq", "fun": lambda c: s * (psi @ c), "jac": lambda c: s * psi}],
+        method="SLSQP", options={"ftol": 1e-12, "maxiter": 1000},
+    )
+    assert res.success, res.message
+    return rmse(phi @ res.x, y)
+
+
+def exact_plcc(x, y) -> float:
+    """PLCC of the given floats in exact rational arithmetic, rounded once at the end."""
+    xs = [Fraction(float(v)) for v in x]
+    ys = [Fraction(float(v)) for v in y]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+    sxx = sum((a - mx) ** 2 for a in xs)
+    syy = sum((b - my) ** 2 for b in ys)
+    return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+
+
+def s_shaped_scatter():
+    rng = np.random.default_rng(5)
+    x = np.linspace(0.0, 1.0, 80)
+    return x, np.where(x < 0.5, 0.2 * x, 0.2 * x + 0.05) + rng.normal(0, 0.2, 80)
+
+
+def noisy_cubic_scatter():
+    rng = np.random.default_rng(42)
+    x = rng.uniform(-5.0, 5.0, 200)
+    return x, 2.0 + 0.5 * x + 0.01 * x**3 + rng.normal(0.0, 0.1, 200)
+
+
+def u_shaped_scatter():
+    # log-normal thresholds against a ground truth peaking mid-range, as in
+    # the benchmark's evaluate workload: no monotone cubic fits it well
+    rng = np.random.default_rng(9)
+    x = np.exp(rng.normal(np.log(0.05), 0.5, 196))
+    t = (x - x.mean()) / x.std()
+    return x, -t * t + 0.02 * rng.normal(0.0, 1.0, 196)
 
 
 class TestPlcc:
@@ -48,12 +107,25 @@ class TestPlcc:
         st.floats(1e-3, 50.0), st.floats(-10.0, 10.0),
     )
     @settings(max_examples=50)
+    @example(a=0.001, b=8.0, c=0.001, d=2.0)  # off by 1.07e-12 under the old abs=1e-12
     def test_affine_invariance(self, a, b, c, d):
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 1, 20)
         y = rng.uniform(0, 1, 20)
         base = plcc(x, y)
-        assert plcc(a * x + b, c * y + d) == pytest.approx(base, abs=1e-12)
+        xt, yt = a * x + b, c * y + d
+        r = plcc(xt, yt)
+        # plcc is accurate on the floats it is given
+        assert r == pytest.approx(exact_plcc(xt, yt), abs=1e-14)
+        # xt differs from the exact a*x + b by one rounding per entry, at most
+        # eps * (a*max|x| + |b|), or that over a*std(x) in standardized units;
+        # n times that (and the same for y) bounds the change in correlation
+        eps = np.finfo(np.float64).eps
+        bound = x.size * eps * (
+            (a * np.abs(x).max() + abs(b)) / (a * x.std())
+            + (c * np.abs(y).max() + abs(d)) / (c * y.std())
+        )
+        assert r == pytest.approx(base, abs=bound)
 
 
 class TestRmse:
@@ -109,9 +181,7 @@ class TestFitMonotonicCubic:
 
     def test_monotone_on_hull_even_when_constraint_binds(self):
         # an S-shaped scatter whose unconstrained cubic wiggles downward
-        rng = np.random.default_rng(5)
-        x = np.linspace(0.0, 1.0, 80)
-        y = np.where(x < 0.5, 0.2 * x, 0.2 * x + 0.05) + rng.normal(0, 0.2, 80)
+        x, y = s_shaped_scatter()
         fit = fit_monotonic_cubic(x, y)
         grid = np.linspace(0.0, 1.0, 256)
         direction = 1.0 if fit.direction == "increasing" else -1.0
@@ -129,6 +199,39 @@ class TestFitMonotonicCubic:
             slope, intercept = 0.0, y.mean()
         line_rmse = rmse(slope * x + intercept, y)
         assert fit.residual_rmse <= line_rmse * (1.0 + 1e-9) + 1e-12
+
+    @pytest.mark.parametrize(
+        "scatter", [s_shaped_scatter, noisy_cubic_scatter, u_shaped_scatter],
+        ids=["s_shaped", "noisy_cubic", "u_shaped"],
+    )
+    def test_exact_against_slsqp(self, scatter):
+        x, y = scatter()
+        fit = fit_monotonic_cubic(x, y)
+        s = 1.0 if fit.direction == "increasing" else -1.0
+        assert fit.residual_rmse <= slsqp_monotone_cubic(x, y, s) * (1.0 + 1e-6)
+        slope = s * fit.derivative(np.linspace(x.min(), x.max(), DERIVATIVE_GRID))
+        assert slope.min() >= -1e-12 * np.abs(slope).max()
+
+    def test_step_bound_raises_instead_of_returning_unconverged(self, monkeypatch):
+        # a least-squares step that never frees the entering constraint
+        # makes the active-set method cycle until the step bound
+        def stuck(a, b, rcond=None):
+            return -np.ones(a.shape[1]), None, None, None
+
+        monkeypatch.setattr(evaluation.np.linalg, "lstsq", stuck)
+        with pytest.raises(NumericError, match="active-set steps"):
+            fit_monotonic_cubic(*u_shaped_scatter())
+
+    def test_fewer_than_four_distinct_x_rejected(self):
+        with pytest.raises(DataError, match="distinct"):
+            fit_monotonic_cubic(np.repeat([0.0, 1.0, 2.0], 3), np.arange(9.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        y = np.arange(8.0)
+        y[3] = bad
+        with pytest.raises(DataError, match="finite"):
+            fit_monotonic_cubic(np.arange(8.0), y)
 
     def test_noise_dominated_x_stays_bounded(self):
         # x varies only at floating-point noise level (e.g. an untrained

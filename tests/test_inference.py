@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from visthresh.errors import DataError
 from visthresh.features import augment_patch, gaussian_window, mscn_map
 from visthresh.image_io import GrayImage
 from visthresh.inference import (
     ThresholdMap,
+    _bin_edges,
     decimate_map,
     export_map,
     load_map,
@@ -123,6 +125,14 @@ class TestDecimateMap:
         out = decimate_map(tmap, 3, 1)
         # edges at round(i*5/3): [0, 2, 3, 5] -> bins of 2, 1, 2 rows
         np.testing.assert_array_equal(out.values[:, 0], [1.5, 3.0, 4.5])
+
+    @given(st.integers(1, 500).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+    def test_bin_edges_strictly_increasing(self, n_target):
+        # decimate_map rejects target > n, so every bin is non-empty
+        n, target = n_target
+        edges = _bin_edges(n, target)
+        assert edges[0] == 0 and edges[-1] == n and len(edges) == target + 1
+        assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
 
 
 class TestNormalizeMap:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from visthresh.errors import DataError
+from visthresh.errors import DataError, NumericError
 from visthresh.image_io import GrayImage, QualityRecord
 from visthresh.regressor import PARAM_COUNT, PNetGrads, init_params
 from visthresh.training import (
@@ -99,6 +99,13 @@ class TestAdam:
         _, state = adam_step(init_params(0), grads, AdamState.zeros(), cfg, t=1)
         assert np.all(state.m == (1.0 - cfg.adam_beta1) * 1.0)
         assert np.all(state.v == (1.0 - cfg.adam_beta2) * 1.0)
+
+    def test_infinite_gradient_is_numeric_error(self):
+        # inf/inf in m_hat / sqrt(v_hat) makes the parameter NaN
+        grads = PNetGrads.zeros()
+        grads.conv1_b[0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+            adam_step(init_params(0), grads, AdamState.zeros(), TrainConfig(epochs=1), t=1)
 
 
 class TestSplit:
