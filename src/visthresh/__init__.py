@@ -42,7 +42,6 @@ from .inference import (
 )
 from .quality_model import T_MIN, grad_wrt_threshold_scale, mean_abs_error, predict_quality, sample_loss
 from .regressor import (
-    PNetGrads,
     PNetParams,
     backward,
     forward,
@@ -73,7 +72,7 @@ __all__ = [
     "load_quality_records", "normalize_score", "save_pgm",
     "ThresholdMap", "decimate_map", "export_map", "load_map", "normalize_map", "predict_map",
     "T_MIN", "grad_wrt_threshold_scale", "mean_abs_error", "predict_quality", "sample_loss",
-    "PNetGrads", "PNetParams", "backward", "forward", "init_params",
+    "PNetParams", "backward", "forward", "init_params",
     "load_checkpoint", "save_checkpoint",
     "SynthConfig", "generate", "oracle_thresholds",
     "TrainConfig", "TrainingSample", "TrainReport", "adam_step", "build_samples",

@@ -124,7 +124,7 @@ def _cmd_gradcheck(args) -> int:
     status = "pass" if report.passed else "FAIL"
     print(
         f"gradcheck: max relative error {report.max_rel_error:.3e} "
-        f"over {report.n_coords} coordinates ({status})"
+        f"over {report.n_coords} coordinates, {report.refined} refined off a kink ({status})"
     )
     return 0 if report.passed else 3
 

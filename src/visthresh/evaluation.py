@@ -13,6 +13,7 @@ and very bright content.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -304,6 +305,8 @@ def load_groundtruth(path) -> np.ndarray:
             r, c, v = int(row[0]), int(row[1]), float(row[2])
         except ValueError:
             raise DataError(f"{path}:{lineno}: unparsable cell {row}") from None
+        if r < 0 or c < 0:
+            raise DataError(f"{path}:{lineno}: negative cell index ({r}, {c})")
         if (r, c) in cells:
             raise DataError(f"{path}:{lineno}: duplicate cell ({r}, {c})")
         cells[(r, c)] = v
@@ -311,9 +314,15 @@ def load_groundtruth(path) -> np.ndarray:
         raise DataError(f"{path}: no ground-truth cells")
     n_rows = max(r for r, _ in cells) + 1
     n_cols = max(c for _, c in cells) + 1
-    missing = [(r, c) for r in range(n_rows) for c in range(n_cols) if (r, c) not in cells]
-    if missing:
-        raise DataError(f"{path}: missing cells relative to the declared grid: {missing}")
+    if len(cells) != n_rows * n_cols:
+        # cells are distinct and in range, so some are missing; name a few
+        missing = itertools.islice(
+            ((r, c) for r in range(n_rows) for c in range(n_cols) if (r, c) not in cells), 5
+        )
+        raise DataError(
+            f"{path}: missing cells relative to the declared {n_rows}x{n_cols} grid "
+            f"({n_rows * n_cols - len(cells)} in all): {list(missing)}"
+        )
     grid = np.empty((n_rows, n_cols))
     for (r, c), v in cells.items():
         grid[r, c] = v

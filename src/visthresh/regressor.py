@@ -16,7 +16,9 @@ network parameters but its gradient comes from the quality model.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,53 +51,48 @@ _SHAPES = (
     ("fc2_b", ()),
     ("a", ()),
 )
-PARAM_COUNT = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in _SHAPES)
+_OFFSETS = [0, *itertools.accumulate(math.prod(shape) for _, shape in _SHAPES)]
+PARAM_COUNT = _OFFSETS[-1]
 
 
-@dataclass(eq=False)
-class _TensorBundle:
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    fc2_w: np.ndarray
-    fc2_b: float
-    a: float
+class PNetParams:
+    """All learnable parameters (or their gradients), including the log-scale a.
 
-    def to_vector(self) -> np.ndarray:
-        """Flatten all parameters into one float64 vector in checkpoint order."""
-        return np.concatenate(
-            [np.asarray(getattr(self, name), dtype=np.float64).ravel() for name, _ in _SHAPES]
-        )
+    One float64 vector ``vec`` in checkpoint order; each ``_SHAPES`` name is
+    a property that reads a reshaped view (a float for ``fc2_b`` and ``a``)
+    and writes into ``vec``.  ``PNetParams()`` is all zeros.
+    """
+
+    __slots__ = ("vec",)
+
+    def __init__(self, vec: np.ndarray | None = None):
+        self.vec = np.zeros(PARAM_COUNT) if vec is None else vec
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray):
-        vec = np.asarray(vec, dtype=np.float64)
+    def from_vector(cls, vec: np.ndarray) -> PNetParams:
+        """Checked copy of an outside vector (size and finiteness)."""
+        vec = np.array(vec, dtype=np.float64)
         if vec.shape != (PARAM_COUNT,):
             raise DataError(f"parameter vector has {vec.size} entries, expected {PARAM_COUNT}")
         if not np.all(np.isfinite(vec)):
             raise DataError("parameter vector contains non-finite values")
-        fields, pos = {}, 0
-        for name, shape in _SHAPES:
-            size = int(np.prod(shape, dtype=np.int64))
-            chunk = vec[pos : pos + size]
-            fields[name] = float(chunk[0]) if shape == () else chunk.reshape(shape).copy()
-            pos += size
-        return cls(**fields)
-
-    @classmethod
-    def zeros(cls):
-        return cls.from_vector(np.zeros(PARAM_COUNT))
+        return cls(vec)
 
 
-class PNetParams(_TensorBundle):
-    """All learnable parameters, including the global log-scale a (alpha = e^a)."""
+def _field(start: int, shape: tuple) -> property:
+    stop = start + math.prod(shape)
+
+    def get(self):
+        return float(self.vec[start]) if shape == () else self.vec[start:stop].reshape(shape)
+
+    def put(self, value):
+        self.vec[start:stop].reshape(shape)[...] = value
+
+    return property(get, put)
 
 
-class PNetGrads(_TensorBundle):
-    """Loss gradients, one entry per parameter; shapes mirror PNetParams."""
+for (_name, _shape), _start in zip(_SHAPES, _OFFSETS):
+    setattr(PNetParams, _name, _field(_start, _shape))
 
 
 @dataclass(eq=False)
@@ -133,7 +130,7 @@ def init_params(seed: int) -> PNetParams:
     def he(shape, fan_in):
         return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
-    params = PNetParams.zeros()
+    params = PNetParams()
     params.conv1_w = he(_SHAPES[0][1], IN_CHANNELS * KERNEL_SIZE**2)
     params.conv2_w = he(_SHAPES[2][1], CONV1_FILTERS * KERNEL_SIZE**2)
     params.fc1_w = he(_SHAPES[4][1], FLAT_SIZE)
@@ -259,10 +256,10 @@ def _forward_batch(
 
 def _backward_batch(
     trace: ForwardTrace, params: PNetParams, dl_dt: np.ndarray, ws: dict | None = None
-) -> PNetGrads:
+) -> PNetParams:
     batch = trace.z.shape[0]
     dz = dl_dt * _sigmoid(trace.z)
-    g = PNetGrads.zeros()
+    g = PNetParams()
     g.fc2_w = trace.dropped.T @ dz
     g.fc2_b = float(dz.sum())
     ddropped = dz[:, None] * params.fc2_w[None, :]
@@ -302,7 +299,7 @@ def forward(patch, params: PNetParams, train_seed: int | None = None) -> Forward
     return _forward_batch(_as_batch(patch), params, masks)
 
 
-def backward(trace: ForwardTrace, params: PNetParams, dl_dt: float) -> PNetGrads:
+def backward(trace: ForwardTrace, params: PNetParams, dl_dt: float) -> PNetParams:
     """Exact gradients of a scalar loss w.r.t. every parameter, given dL/dT.
 
     The gradient of the log-scale a is owned by the quality model and left
@@ -318,7 +315,7 @@ def params_digest(params: PNetParams) -> str:
     h = hashlib.sha256()
     h.update(CHECKPOINT_MAGIC)
     h.update(np.asarray(_ARCH, dtype="<u4").tobytes())
-    h.update(params.to_vector().astype("<f8").tobytes())
+    h.update(params.vec.astype("<f8").tobytes())
     return h.hexdigest()
 
 
@@ -328,7 +325,7 @@ def save_checkpoint(params: PNetParams, meta: dict, path) -> None:
     blob += CHECKPOINT_MAGIC
     blob += np.asarray(_ARCH, dtype="<u4").tobytes()
     blob += np.asarray([PARAM_COUNT], dtype="<u8").tobytes()
-    blob += params.to_vector().astype("<f8").tobytes()
+    blob += params.vec.astype("<f8").tobytes()
     if meta:
         blob += json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     Path(path).write_bytes(bytes(blob))
@@ -354,7 +351,7 @@ def load_checkpoint(path) -> tuple[PNetParams, dict]:
     body_end = header_end + 8 * count
     if len(data) < body_end:
         raise DataError(f"{path}: size mismatch, parameter block truncated")
-    vec = np.frombuffer(data[header_end:body_end], dtype="<f8").astype(np.float64)
+    vec = np.frombuffer(data[header_end:body_end], dtype="<f8")
     tail = data[body_end:]
     try:
         meta = json.loads(tail.decode("utf-8")) if tail.strip() else {}

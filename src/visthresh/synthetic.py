@@ -163,7 +163,10 @@ def load_oracle(path) -> dict[str, float]:
     if not lines or lines[0] != "patch_id,t_star":
         raise DataError(f"{path}: expected header 'patch_id,t_star'")
     out = {}
-    for line in lines[1:]:
-        pid, value = line.split(",")
-        out[pid] = float(value)
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            pid, value = line.split(",")
+            out[pid] = float(value)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: expected 'patch_id,t_star', got {line!r}") from None
     return out

@@ -174,7 +174,7 @@ class TestGradcheckCommand:
     def test_passes_and_prints(self, capsys):
         assert run(["gradcheck", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert "max relative error" in out and "pass" in out
+        assert "max relative error" in out and "0 refined" in out and "pass" in out
 
     def test_failure_maps_to_exit_3(self, monkeypatch, capsys):
         def fake_gradcheck(seed=1):

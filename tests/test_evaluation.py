@@ -372,6 +372,18 @@ class TestGroundTruth:
         with pytest.raises(DataError, match=r"missing cells.*\(0, 1\)"):
             load_groundtruth(tmp_path / "gt.csv")
 
+    def test_negative_index_rejected(self, tmp_path):
+        # -1 must not wrap around onto cell (1, 0) of a complete 2x2 grid
+        (tmp_path / "gt.csv").write_text(f"{GT_HEADER}\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n-1,0,9\n")
+        with pytest.raises(DataError, match=r"gt.csv:6: negative cell index"):
+            load_groundtruth(tmp_path / "gt.csv")
+
+    def test_huge_index_lists_few_missing_cells(self, tmp_path):
+        (tmp_path / "gt.csv").write_text(f"{GT_HEADER}\n0,0,1.0\n1000000000,1000000000,2.0\n")
+        with pytest.raises(DataError, match=r"missing cells") as err:
+            load_groundtruth(tmp_path / "gt.csv")
+        assert len(str(err.value)) < 400
+
     def test_bad_header(self, tmp_path):
         (tmp_path / "gt.csv").write_text("r,c,v\n0,0,1.0\n")
         with pytest.raises(DataError, match="header"):

@@ -126,6 +126,17 @@ class TestDecimateMap:
         # edges at round(i*5/3): [0, 2, 3, 5] -> bins of 2, 1, 2 rows
         np.testing.assert_array_equal(out.values[:, 0], [1.5, 3.0, 4.5])
 
+    def test_matches_per_block_means(self):
+        rng = np.random.default_rng(2)
+        tmap = make_map(rng.uniform(0.1, 1.0, (23, 17)))
+        out = decimate_map(tmap, 7, 5)
+        rows, cols = _bin_edges(23, 7), _bin_edges(17, 5)
+        expected = [
+            [tmap.values[r0:r1, c0:c1].mean() for c0, c1 in zip(cols, cols[1:])]
+            for r0, r1 in zip(rows, rows[1:])
+        ]
+        np.testing.assert_allclose(out.values, expected, rtol=1e-14, atol=0)
+
     @given(st.integers(1, 500).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
     def test_bin_edges_strictly_increasing(self, n_target):
         # decimate_map rejects target > n, so every bin is non-empty

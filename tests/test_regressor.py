@@ -9,7 +9,6 @@ from visthresh.quality_model import T_MIN
 from visthresh.regressor import (
     CHECKPOINT_MAGIC,
     PARAM_COUNT,
-    PNetGrads,
     PNetParams,
     backward,
     dropout_mask,
@@ -38,13 +37,13 @@ class TestInit:
     def test_param_count(self):
         expected = 4 * 5 * 5 * 32 + 32 + 32 * 5 * 5 * 32 + 32 + 100 * 800 + 100 + 100 + 1 + 1
         assert PARAM_COUNT == expected
-        assert init_params(0).to_vector().size == expected
+        assert init_params(0).vec.size == expected
 
     def test_deterministic(self):
-        a = init_params(42).to_vector()
-        b = init_params(42).to_vector()
+        a = init_params(42).vec
+        b = init_params(42).vec
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, init_params(43).to_vector())
+        assert not np.array_equal(a, init_params(43).vec)
 
     def test_biases_zero_and_scale_zero(self):
         p = init_params(7)
@@ -60,7 +59,7 @@ class TestInit:
 
 class TestForward:
     def test_all_zero_network(self):
-        trace = forward(AugmentedPatch((0, 0), 32, np.zeros((4, 32, 32))), PNetParams.zeros())
+        trace = forward(AugmentedPatch((0, 0), 32, np.zeros((4, 32, 32))), PNetParams())
         assert trace.z[0] == 0.0
         assert trace.threshold == pytest.approx(math.log(2.0) + T_MIN, abs=1e-15)
 
@@ -120,7 +119,7 @@ class TestBackward:
         patch, params = random_patch(4), init_params(4)
         trace = forward(patch, params)
         grads = backward(trace, params, 0.0)
-        assert np.all(grads.to_vector() == 0.0)
+        assert np.all(grads.vec == 0.0)
 
     def test_single_fc2_weight_finite_difference(self):
         patch, params = random_patch(6), init_params(6)
@@ -129,8 +128,6 @@ class TestBackward:
         h = 1e-6
         for j in (0, 17, 99):
             plus, minus = init_params(6), init_params(6)
-            plus.fc2_w = plus.fc2_w.copy()
-            minus.fc2_w = minus.fc2_w.copy()
             plus.fc2_w[j] += h
             minus.fc2_w[j] -= h
             fd = (forward(patch, plus).threshold - forward(patch, minus).threshold) / (2 * h)
@@ -139,8 +136,8 @@ class TestBackward:
     def test_random_coordinates_finite_difference(self):
         patch, params = random_patch(8), init_params(8)
         trace = forward(patch, params)
-        grads = backward(trace, params, 1.0).to_vector()
-        base = params.to_vector()
+        grads = backward(trace, params, 1.0).vec
+        base = params.vec
         rng = np.random.default_rng(0)
         h = 1e-6
         for c in rng.choice(PARAM_COUNT - 2, size=40, replace=False):
@@ -162,7 +159,7 @@ class TestCheckpoint:
         path = tmp_path / "model.vth"
         save_checkpoint(params, {"seed": 11, "note": "x"}, path)
         loaded, meta = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
+        np.testing.assert_array_equal(loaded.vec, params.vec)
         assert meta == {"seed": 11, "note": "x"}
 
     def test_save_load_save_byte_identical(self, tmp_path):
@@ -208,9 +205,34 @@ class TestCheckpoint:
 
 class TestVectorPacking:
     def test_grads_mirror_params(self):
-        g = PNetGrads.zeros()
-        p = PNetParams.zeros()
-        assert g.to_vector().shape == p.to_vector().shape
+        g = backward(forward(random_patch(1), init_params(1)), init_params(1), 1.0)
+        assert type(g) is PNetParams and g.vec.shape == (PARAM_COUNT,)
+        assert np.all(PNetParams().vec == 0.0)
+
+    def test_field_write_changes_vec(self):
+        p = PNetParams()
+        p.conv2_b = np.arange(32.0)
+        p.fc1_w[3, 7] = 5.0
+        p.a = -0.25
+        p.fc2_b += 0.7
+        assert p.vec[-1] == -0.25 and p.vec[-2] == 0.7
+        assert np.count_nonzero(p.vec) == 31 + 1 + 2
+        np.testing.assert_array_equal(p.vec[3232 + 25600 : 3232 + 25632], np.arange(32.0))
+        assert p.vec[28864 + 3 * 800 + 7] == 5.0
+
+    def test_vec_write_changes_field(self):
+        p = init_params(2)
+        p.vec[:] = np.arange(PARAM_COUNT, dtype=np.float64)
+        assert p.conv1_w[0, 0, 0, 1] == 1.0
+        assert p.conv1_b[0] == 3200.0
+        assert p.fc2_b == PARAM_COUNT - 2 and p.a == PARAM_COUNT - 1
+        assert isinstance(p.a, float) and p.fc1_w.shape == (100, 800)
+
+    def test_from_vector_copies(self):
+        vec = init_params(4).vec.copy()
+        p = PNetParams.from_vector(vec)
+        vec[:] = 9.0
+        np.testing.assert_array_equal(p.vec, init_params(4).vec)
 
     def test_from_vector_rejects_bad_size(self):
         with pytest.raises(DataError, match="entries"):
@@ -226,6 +248,6 @@ class TestVectorPacking:
         params = init_params(21)
         params.a = -0.4
         params.fc2_b = 0.9
-        again = PNetParams.from_vector(params.to_vector())
-        np.testing.assert_array_equal(again.to_vector(), params.to_vector())
+        again = PNetParams.from_vector(params.vec)
+        np.testing.assert_array_equal(again.vec, params.vec)
         assert again.a == params.a and again.fc2_b == params.fc2_b

@@ -111,6 +111,14 @@ class TestOracle:
         oracle_thresholds(tmp_path)
         assert (tmp_path / "oracle.csv").read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "row", ["p0,1.5,7", "p0", "p0,abc"], ids=["extra_column", "one_column", "non_numeric"]
+    )
+    def test_malformed_oracle_row_is_data_error(self, tmp_path, row):
+        (tmp_path / "oracle.csv").write_text(f"patch_id,t_star\np1,0.2\n{row}\n")
+        with pytest.raises(DataError, match=r"oracle.csv:3"):
+            load_oracle(tmp_path / "oracle.csv")
+
     def test_requires_generated_tree(self, tmp_path):
         with pytest.raises(DataError, match="generated tree"):
             oracle_thresholds(tmp_path / "empty")
