@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import DataError, NumericError
@@ -67,7 +68,7 @@ def _cmd_train(args) -> int:
     )
     records = load_quality_records(args.manifest)
     params, report = train(records, cfg)
-    meta = {"config": {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}, "seed": cfg.seed}
+    meta = {"config": asdict(cfg), "seed": cfg.seed}
     save_checkpoint(params, meta, args.out)
     if args.report:
         Path(args.report).write_text(

@@ -12,7 +12,6 @@ and very bright content.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericError
-from .image_io import GrayImage
+from .image_io import GrayImage, read_csv_rows
 from .inference import ThresholdMap
+from .regressor import PATCH_SIZE
 
 DEFAULT_LUMINANCE_BAND = (10.0, 250.0)
 DERIVATIVE_GRID = 256
@@ -272,16 +272,16 @@ def evaluate(data: PairedData, band: tuple[float, float] | None = None) -> EvalR
     )
 
 
-def intensity_histogram(images, patch_size: int = 32, stride: int = 16) -> np.ndarray:
+def intensity_histogram(images, stride: int = 16) -> np.ndarray:
     """256-bin histogram of mean patch luminance (0..255 scale) over stride grids."""
     counts = np.zeros(256, dtype=np.int64)
     for img in images:
         arr = img.pixels if isinstance(img, GrayImage) else np.asarray(img, dtype=np.float64)
-        if arr.shape[0] < patch_size or arr.shape[1] < patch_size:
-            raise DataError(f"image {arr.shape} smaller than patch size {patch_size}")
-        for row in range(0, arr.shape[0] - patch_size + 1, stride):
-            for col in range(0, arr.shape[1] - patch_size + 1, stride):
-                mean = arr[row : row + patch_size, col : col + patch_size].mean()
+        if arr.shape[0] < PATCH_SIZE or arr.shape[1] < PATCH_SIZE:
+            raise DataError(f"image {arr.shape} smaller than patch size {PATCH_SIZE}")
+        for row in range(0, arr.shape[0] - PATCH_SIZE + 1, stride):
+            for col in range(0, arr.shape[1] - PATCH_SIZE + 1, stride):
+                mean = arr[row : row + PATCH_SIZE, col : col + PATCH_SIZE].mean()
                 counts[min(int(np.floor(mean * 255.0 + 0.5)), 255)] += 1
     return counts
 
@@ -293,8 +293,7 @@ def load_groundtruth(path) -> np.ndarray:
     appear exactly once.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+    rows = read_csv_rows(path)
     if not rows or tuple(cell.strip() for cell in rows[0]) != ("row", "col", "threshold_db"):
         raise DataError(f"{path}: expected header 'row,col,threshold_db'")
     cells: dict[tuple[int, int], float] = {}

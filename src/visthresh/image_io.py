@@ -146,6 +146,15 @@ def save_pgm(img: GrayImage, path) -> None:
     Path(path).write_bytes(header + quantized.tobytes())
 
 
+def read_csv_rows(path: Path) -> list[list[str]]:
+    """Rows of a UTF-8 CSV file, skipping blank lines and lines starting with '#'."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_manifest(path) -> list[ManifestRecord]:
     """Parse a dataset manifest CSV into records.
 
@@ -155,8 +164,7 @@ def load_manifest(path) -> list[ManifestRecord]:
     """
     path = Path(path)
     base = path.parent
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+    rows = read_csv_rows(path)
     if not rows:
         raise DataError(f"{path}: empty manifest, missing header")
     header = tuple(cell.strip() for cell in rows[0])
@@ -167,6 +175,8 @@ def load_manifest(path) -> list[ManifestRecord]:
         if len(row) != len(MANIFEST_HEADER):
             raise DataError(f"{path}:{lineno}: expected {len(MANIFEST_HEADER)} columns, got {len(row)}")
         ref, dist, raw, lo, hi, polarity = (cell.strip() for cell in row)
+        if "\0" in ref + dist:
+            raise DataError(f"{path}:{lineno}: NUL byte in an image path")
         try:
             raw_f, lo_f, hi_f = float(raw), float(lo), float(hi)
         except ValueError:

@@ -169,11 +169,15 @@ def load_map(prefix) -> ThresholdMap:
             k: meta[k] for k in ("origin_stride", "patch_size", "source_width", "source_height")
         }
         lum = meta.get("mean_luminance")
-        luminance = np.array(lum) if lum is not None else None
+        luminance = np.array(lum, dtype=np.float64) if lum is not None else None
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{json_path}: malformed map sidecar ({exc!r})") from None
     if values.shape != shape:
         raise DataError(f"{csv_path}: value grid {values.shape} does not match sidecar {shape}")
+    if luminance is not None and luminance.shape != shape:
+        raise DataError(
+            f"{json_path}: mean_luminance grid {luminance.shape} does not match value grid {shape}"
+        )
     return ThresholdMap(
         values=values,
         **geometry,

@@ -1,11 +1,11 @@
 """Maps per-patch error and a visibility threshold to a local quality score.
 
 The predicted quality of a patch with mean absolute error E, threshold T,
-and global scale alpha is ``q_hat = 1 - exp(-(alpha * E / T)**beta)``, a
+and global scale alpha is ``q_hat = 1 - exp(-alpha * E / T)``, a
 saturating detection-style curve: q_hat = 0 iff E = 0, and q_hat -> 1 as
-E/T grows.  beta defaults to 1 and is plumbed through but never learned;
-alpha is learned in log-space (a = log alpha) so it stays positive.  The
-per-sample training loss is L1 on (q_target, q_hat).
+E/T grows.  The paper writes the exponent out, ``(alpha * E / T)**beta``,
+and sets beta = 1.  alpha is learned in log-space (a = log alpha) so it
+stays positive.  The per-sample training loss is L1 on (q_target, q_hat).
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ def mean_abs_error(ref_patch: np.ndarray, dist_patch: np.ndarray) -> float:
     return float(np.mean(np.abs(dist - ref)))
 
 
-def predict_quality(e: float, t: float, alpha: float, beta: float = 1.0) -> QualityPrediction:
-    """Evaluate q_hat = 1 - exp(-(alpha*E/T)**beta) and its T/alpha derivatives.
+def predict_quality(e: float, t: float, alpha: float) -> QualityPrediction:
+    """Evaluate q_hat = 1 - exp(-alpha*E/T) and its T/alpha derivatives.
 
-    The derivative identities used, valid for any beta > 0 with u = alpha*E/T:
+    The derivative identities used, with u = alpha*E/T:
 
-        dq/dT     = -(beta * u**beta / T)     * exp(-u**beta)
-        dq/dalpha =  (beta * u**beta / alpha) * exp(-u**beta)
+        dq/dT     = -(u / T)     * exp(-u)
+        dq/dalpha =  (u / alpha) * exp(-u)
 
     Both vanish at E = 0, so error-free patches contribute no gradient.
     """
@@ -52,14 +52,13 @@ def predict_quality(e: float, t: float, alpha: float, beta: float = 1.0) -> Qual
         raise DataError(f"error must be finite and >= 0, got {e}")
     if t < T_MIN:
         raise DataError(f"threshold must be >= {T_MIN}, got {t}")
-    if alpha <= 0 or beta <= 0:
-        raise DataError(f"alpha and beta must be positive, got alpha={alpha}, beta={beta}")
+    if alpha <= 0:
+        raise DataError(f"alpha must be positive, got {alpha}")
     u = alpha * e / t
-    ub = u**beta
-    decay = math.exp(-ub)
+    decay = math.exp(-u)
     q_hat = 1.0 - decay
-    dq_dt = -(beta * ub / t) * decay
-    dq_dalpha = (beta * ub / alpha) * decay
+    dq_dt = -(u / t) * decay
+    dq_dalpha = (u / alpha) * decay
     return QualityPrediction(q_hat=q_hat, dq_dt=dq_dt, dq_dalpha=dq_dalpha)
 
 
@@ -70,7 +69,7 @@ def sample_loss(q_target: float, q_hat: float) -> tuple[float, float]:
 
 
 def grad_wrt_threshold_scale(
-    e: float, t: float, alpha: float, q_target: float, beta: float = 1.0
+    e: float, t: float, alpha: float, q_target: float
 ) -> tuple[float, float, float]:
     """Loss and its gradients w.r.t. the threshold T and a = log(alpha).
 
@@ -78,6 +77,6 @@ def grad_wrt_threshold_scale(
     pass; dL_da accumulates into the global log-scale parameter (chain
     rule: dL/da = dL/dalpha * alpha).
     """
-    pred = predict_quality(e, t, alpha, beta)
+    pred = predict_quality(e, t, alpha)
     loss, dl_dq = sample_loss(q_target, pred.q_hat)
     return loss, dl_dq * pred.dq_dt, dl_dq * pred.dq_dalpha * alpha

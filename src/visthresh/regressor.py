@@ -288,15 +288,13 @@ def _as_batch(patch) -> np.ndarray:
     return x[None]
 
 
-def forward(patch, params: PNetParams, train_seed: int | None = None) -> ForwardTrace:
-    """Run one augmented patch through the network.
+def forward(patch, params: PNetParams) -> ForwardTrace:
+    """Run one augmented patch through the network in eval mode.
 
-    Eval mode (train_seed None) uses no dropout and is a pure function of
-    (patch, params); train mode draws one inverted-dropout mask from the
-    given seed.
+    Eval mode uses no dropout, so the trace is a pure function of
+    (patch, params).
     """
-    masks = dropout_mask(train_seed, batch=1) if train_seed is not None else None
-    return _forward_batch(_as_batch(patch), params, masks)
+    return _forward_batch(_as_batch(patch), params, None)
 
 
 def backward(trace: ForwardTrace, params: PNetParams, dl_dt: float) -> PNetParams:

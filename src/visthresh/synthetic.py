@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DataError
 from .image_io import GrayImage, load_manifest, load_pgm, save_pgm, write_manifest
+from .quality_model import mean_abs_error
 from .training import patch_grid
 
 PATCH = 32
@@ -110,7 +111,7 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
                     dist_crop = dist[r : r + PATCH, c : c + PATCH]
                     dist_name = f"{pid}_a{ai}.pgm"
                     save_pgm(GrayImage(dist_crop), out / "dist" / dist_name)
-                    e = float(np.mean(np.abs(dist_crop - ref_crop)))
+                    e = mean_abs_error(ref_crop, dist_crop)
                     q = 1.0 - math.exp(-cfg.alpha_true * e / t_star)
                     rows.append(
                         {

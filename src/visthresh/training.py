@@ -11,22 +11,21 @@ Determinism contract: all randomness (split, epoch shuffles, per-sample
 dropout masks) derives from config.seed through numpy's PCG64 generator
 with fixed derivation paths, so identical (records, config) reproduce the
 final checkpoint bit for bit.  Derivation paths: [seed, 0] split,
-[seed, 1, epoch] shuffle, [seed, 2, epoch, batch, index] dropout,
-[seed, 3] optional input noise.
+[seed, 1, epoch] shuffle, [seed, 2, epoch, batch, index] dropout.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DataError, NumericError
 from .features import AugmentedPatch, augment_patch, gaussian_window, mscn_map
 from .image_io import QualityRecord
-from .quality_model import grad_wrt_threshold_scale, predict_quality, sample_loss
+from .quality_model import grad_wrt_threshold_scale, mean_abs_error, predict_quality, sample_loss
 from .regressor import (
     PARAM_COUNT,
     PATCH_SIZE,
@@ -44,8 +43,14 @@ from .regressor import (
 # training batch size, so the holdout pass needs no more im2col scratch
 # than a training step (the thresholds do not depend on it)
 PREDICT_CHUNK = 32
-# smallest central-difference step gradcheck shrinks to near a kink
+# gradcheck's central-difference step, and the smallest step it shrinks
+# to near a kink
+GRADCHECK_H = 1e-6
 KINK_H_FLOOR = 1e-10
+# Adam's standard constants (Kingma and Ba, arXiv 1412.6980)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# samples with a smaller patch error carry no threshold gradient
+E_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,21 +62,14 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 30
     learning_rate: float = 3e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    e_min: float = 1e-6
     holdout_fraction: float = 0.2
-    beta: float = 1.0
-    input_noise_sigma: float = 0.0  # extra Gaussian noise on regressor inputs, off by default
-    split_by_image: bool = False
 
     def __post_init__(self):
         if min(self.patch_stride, self.batch_size, self.epochs) < 1:
             raise DataError("patch_stride, batch_size and epochs must be positive")
-        if self.learning_rate <= 0 or self.e_min <= 0 or self.beta <= 0:
-            raise DataError("learning_rate, e_min and beta must be positive")
+        if self.learning_rate <= 0:
+            raise DataError("learning_rate must be positive")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise DataError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
 
@@ -83,7 +81,7 @@ class TrainingSample:
     patch: AugmentedPatch
     e: float
     q_target: float
-    group: int  # index of the source record, for image-level splits and joins
+    group: int  # index of the source record, to join a sample back to it
 
 
 @dataclass
@@ -103,7 +101,7 @@ class TrainReport:
             "holdout_indices": self.holdout_indices,
         }
         if config is not None:
-            out["config"] = {k: getattr(config, k) for k in config.__dataclass_fields__}
+            out["config"] = asdict(config)
             out["seed"] = config.seed
         return out
 
@@ -140,29 +138,23 @@ def patch_grid(length: int, stride: int, patch: int = PATCH_SIZE) -> list[int]:
 def build_samples(records: list[QualityRecord], cfg: TrainConfig) -> list[TrainingSample]:
     """Cut aligned patches, compute features on the distorted image, attach targets.
 
-    Samples whose patch error falls below cfg.e_min carry no threshold
-    gradient and are dropped.  Optional input noise (cfg.input_noise_sigma)
-    perturbs only what the regressor sees; the patch error E is always
-    measured on the clean pair.
+    Samples whose patch error falls below E_MIN carry no threshold
+    gradient and are dropped.
     """
     window = gaussian_window()
-    noise_rng = np.random.default_rng([cfg.seed, 3]) if cfg.input_noise_sigma > 0 else None
     samples = []
     for group, rec in enumerate(records):
         ref = rec.reference.pixels
         dist = rec.distorted.pixels
-        net_input = dist
-        if noise_rng is not None:
-            net_input = np.clip(dist + noise_rng.normal(0.0, cfg.input_noise_sigma, dist.shape), 0.0, 1.0)
-        maps = mscn_map(net_input, window)
+        maps = mscn_map(dist, window)
         for row in patch_grid(dist.shape[0], cfg.patch_stride):
             for col in patch_grid(dist.shape[1], cfg.patch_stride):
                 ref_crop = ref[row : row + PATCH_SIZE, col : col + PATCH_SIZE]
                 dist_crop = dist[row : row + PATCH_SIZE, col : col + PATCH_SIZE]
-                e = float(np.mean(np.abs(dist_crop - ref_crop)))
-                if e < cfg.e_min:
+                e = mean_abs_error(ref_crop, dist_crop)
+                if e < E_MIN:
                     continue
-                patch = augment_patch(maps, net_input, (row, col), PATCH_SIZE)
+                patch = augment_patch(maps, dist, (row, col), PATCH_SIZE)
                 samples.append(TrainingSample(patch=patch, e=e, q_target=rec.q_global, group=group))
     return samples
 
@@ -170,11 +162,11 @@ def build_samples(records: list[QualityRecord], cfg: TrainConfig) -> list[Traini
 def adam_step(params: PNetParams, grads: PNetParams, state: AdamState, cfg: TrainConfig, t: int):
     """One Adam update with bias correction, over the flat parameter vector."""
     g = grads.vec
-    m = cfg.adam_beta1 * state.m + (1.0 - cfg.adam_beta1) * g
-    v = cfg.adam_beta2 * state.v + (1.0 - cfg.adam_beta2) * g * g
-    m_hat = m / (1.0 - cfg.adam_beta1**t)
-    v_hat = v / (1.0 - cfg.adam_beta2**t)
-    p = params.vec - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    p = params.vec - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not np.all(np.isfinite(p)):
         raise NumericError(f"Adam step {t} produced non-finite parameters")
     return PNetParams(p), AdamState(m=m, v=v)
@@ -183,21 +175,8 @@ def adam_step(params: PNetParams, grads: PNetParams, state: AdamState, cfg: Trai
 def split_indices(samples: list[TrainingSample], cfg: TrainConfig) -> tuple[list[int], list[int]]:
     """Disjoint (train, holdout) index sets from a seeded shuffle."""
     n = len(samples)
-    rng = np.random.default_rng([cfg.seed, 0])
-    if cfg.split_by_image:
-        groups = sorted({s.group for s in samples})
-        order = rng.permutation(len(groups))
-        target = int(round(n * cfg.holdout_fraction))
-        hold_groups, held = set(), 0
-        for gi in order:
-            if held >= target:
-                break
-            hold_groups.add(groups[gi])
-            held += sum(1 for s in samples if s.group == groups[gi])
-        holdout = [i for i, s in enumerate(samples) if s.group in hold_groups]
-    else:
-        order = rng.permutation(n)
-        holdout = sorted(int(i) for i in order[: int(round(n * cfg.holdout_fraction))])
+    order = np.random.default_rng([cfg.seed, 0]).permutation(n)
+    holdout = sorted(int(i) for i in order[: int(round(n * cfg.holdout_fraction))])
     hold_set = set(holdout)
     train = [i for i in range(n) if i not in hold_set]
     if not train:
@@ -225,13 +204,13 @@ def predict_sample_thresholds(
     return out
 
 
-def _mean_holdout_loss(samples, indices, params, alpha, beta) -> float | None:
+def _mean_holdout_loss(samples, indices, params, alpha) -> float | None:
     if not indices:
         return None
     thresholds = predict_sample_thresholds(samples, params, indices)
     total = 0.0
     for t, i in zip(thresholds, indices):
-        q_hat = predict_quality(samples[i].e, float(t), alpha, beta).q_hat
+        q_hat = predict_quality(samples[i].e, float(t), alpha).q_hat
         total += abs(samples[i].q_target - q_hat)
     return total / len(indices)
 
@@ -267,9 +246,7 @@ def train(records: list[QualityRecord], cfg: TrainConfig) -> tuple[PNetParams, T
             batch_loss = 0.0
             for i, idx in enumerate(batch):
                 s = samples[idx]
-                loss, g_t, g_a = grad_wrt_threshold_scale(
-                    s.e, float(trace.t[i]), alpha, s.q_target, cfg.beta
-                )
+                loss, g_t, g_a = grad_wrt_threshold_scale(s.e, float(trace.t[i]), alpha, s.q_target)
                 batch_loss += loss
                 dl_dt[i] = g_t / b
                 dl_da += g_a / b
@@ -282,7 +259,7 @@ def train(records: list[QualityRecord], cfg: TrainConfig) -> tuple[PNetParams, T
             epoch_loss += batch_loss
         report.train_loss.append(epoch_loss / len(order))
         report.holdout_loss.append(
-            _mean_holdout_loss(samples, holdout_idx, params, math.exp(params.a), cfg.beta)
+            _mean_holdout_loss(samples, holdout_idx, params, math.exp(params.a))
         )
         report.epoch_seconds.append(time.perf_counter() - tic)
     report.final_alpha = math.exp(params.a)
@@ -300,7 +277,6 @@ def _activation_pattern(trace, q_hat: float, q_target: float) -> tuple:
 def gradcheck(
     seed: int = 1,
     n_coords: int = 200,
-    h: float = 1e-6,
     tolerance: float = 1e-4,
     corrupt_index: int | None = None,
 ) -> GradCheckReport:
@@ -317,9 +293,10 @@ def gradcheck(
     The loss is piecewise smooth: ReLU, max-pool and the L1 gap have kinks.
     A difference whose +-h points take another branch than the unperturbed
     point (another activation pattern) measures the kink, not the gradient,
-    so its step is divided by 10 until both patterns match, down to
-    KINK_H_FLOOR; `refined` counts those coordinates.  A coordinate still
-    straddling a kink at the floor keeps its estimate and fails the check.
+    so its step h = GRADCHECK_H is divided by 10 until both patterns
+    match, down to KINK_H_FLOOR; `refined` counts those coordinates.  A
+    coordinate still straddling a kink at the floor keeps its estimate and
+    fails the check.
     """
     rng = np.random.default_rng(seed)
     params = init_params(seed)
@@ -362,7 +339,7 @@ def gradcheck(
     vec = params.vec
     max_rel, refined, stable_all = 0.0, 0, True
     for c in sorted(coords):
-        saved, step = vec[c], h
+        saved, step = vec[c], GRADCHECK_H
         while True:
             vec[c] = saved + step
             loss_plus, stable_plus = loss_at()
@@ -373,7 +350,7 @@ def gradcheck(
             if stable or step <= KINK_H_FLOOR:
                 break
             step = max(step / 10.0, KINK_H_FLOOR)
-        refined += step != h
+        refined += step != GRADCHECK_H
         stable_all &= stable
         numeric = (loss_plus - loss_minus) / (2.0 * step)
         rel = abs(gvec[c] - numeric) / max(abs(gvec[c]), abs(numeric), 1e-5)

@@ -140,8 +140,12 @@ class TestEvaluate:
             (".json", lambda text: text[: len(text) // 2]),
             (".json", lambda text: json.dumps(
                 {k: v for k, v in json.loads(text).items() if k != "patch_size"})),
+            (".json", lambda text: json.dumps(
+                {**json.loads(text), "mean_luminance": [[128.0, 128.0], [128.0, 128.0]]})),
+            (".json", lambda text: json.dumps({**json.loads(text), "mean_luminance": [["a"]]})),
         ],
-        ids=["csv_non_numeric_cell", "sidecar_not_json", "sidecar_missing_patch_size"],
+        ids=["csv_non_numeric_cell", "sidecar_not_json", "sidecar_missing_patch_size",
+             "sidecar_luminance_shape", "sidecar_luminance_not_numeric"],
     )
     def test_malformed_map_is_data_error(self, prediction, tmp_path, capsys, suffix, corrupt):
         bad = prediction.with_name(prediction.name + suffix)
@@ -152,6 +156,14 @@ class TestEvaluate:
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert str(bad) in capsys.readouterr().err
+
+    def test_non_utf8_groundtruth_is_data_error(self, prediction, tmp_path, capsys):
+        gt = tmp_path / "gt.csv"
+        gt.write_bytes(b"row,col,threshold_db\n0,0,\xff\n0,1,-18\n1,0,-17\n1,1,-15\n")
+        code = run(["evaluate", "--pred", str(prediction), "--gt", str(gt),
+                    "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert str(gt) in capsys.readouterr().err
 
     def test_finer_gt_than_map_is_data_error(self, prediction, tmp_path):
         gt = tmp_path / "gt.csv"
@@ -196,6 +208,14 @@ class TestHistogramCommand:
         total = sum(int(line.split(",")[1]) for line in lines[1:])
         # each manifest row is its own 32x32 distorted patch image -> 1 patch per row
         assert total == 2 * 9 * 4
+
+    def test_non_utf8_manifest_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        row = b"ref/\xff\xfe.pgm,dist/a.pgm,0.5,0,1,higher_is_worse"
+        manifest.write_bytes(MANIFEST_HEADER.encode() + b"\n" + row + b"\n")
+        code = run(["histogram", "--manifest", str(manifest), "--out", str(tmp_path / "h.csv")])
+        assert code == 2
+        assert str(manifest) in capsys.readouterr().err
 
 
 class TestUsage:

@@ -141,6 +141,11 @@ class TestManifest:
         with pytest.raises(DataError, match="unparsable"):
             load_manifest(tmp_path / "m.csv")
 
+    def test_nul_in_image_path(self, tmp_path):
+        (tmp_path / "m.csv").write_text(f"{MANIFEST_HEADER}\na,\0b,0.5,0,1,higher_is_worse\n")
+        with pytest.raises(DataError, match=r"m.csv:2: NUL byte"):
+            load_manifest(tmp_path / "m.csv")
+
     def test_score_outside_range_rejected(self, tmp_path):
         (tmp_path / "m.csv").write_text(f"{MANIFEST_HEADER}\na,b,5,0,1,higher_is_worse\n")
         with pytest.raises(DataError):
