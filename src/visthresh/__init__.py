@@ -49,7 +49,7 @@ from .regressor import (
     load_checkpoint,
     save_checkpoint,
 )
-from .synthetic import SynthConfig, generate, oracle_thresholds
+from .synthetic import SynthConfig, generate
 from .training import (
     TrainConfig,
     TrainingSample,
@@ -74,7 +74,7 @@ __all__ = [
     "T_MIN", "grad_wrt_threshold_scale", "mean_abs_error", "predict_quality", "sample_loss",
     "PNetParams", "backward", "forward", "init_params",
     "load_checkpoint", "save_checkpoint",
-    "SynthConfig", "generate", "oracle_thresholds",
+    "SynthConfig", "generate",
     "TrainConfig", "TrainingSample", "TrainReport", "adam_step", "build_samples",
     "gradcheck", "train",
 ]

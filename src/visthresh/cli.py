@@ -68,8 +68,7 @@ def _cmd_train(args) -> int:
     )
     records = load_quality_records(args.manifest)
     params, report = train(records, cfg)
-    meta = {"config": asdict(cfg), "seed": cfg.seed}
-    save_checkpoint(params, meta, args.out)
+    save_checkpoint(params, {"config": asdict(cfg)}, args.out)
     if args.report:
         Path(args.report).write_text(
             json.dumps(report.to_dict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericError
+from .features import PATCH_SIZE, patch_grid
 from .image_io import GrayImage, read_csv_rows
 from .inference import ThresholdMap
-from .regressor import PATCH_SIZE
 
 DEFAULT_LUMINANCE_BAND = (10.0, 250.0)
 DERIVATIVE_GRID = 256
@@ -273,14 +273,12 @@ def evaluate(data: PairedData, band: tuple[float, float] | None = None) -> EvalR
 
 
 def intensity_histogram(images, stride: int = 16) -> np.ndarray:
-    """256-bin histogram of mean patch luminance (0..255 scale) over stride grids."""
+    """256-bin histogram of mean patch luminance (0..255 scale) over patch grids."""
     counts = np.zeros(256, dtype=np.int64)
     for img in images:
         arr = img.pixels if isinstance(img, GrayImage) else np.asarray(img, dtype=np.float64)
-        if arr.shape[0] < PATCH_SIZE or arr.shape[1] < PATCH_SIZE:
-            raise DataError(f"image {arr.shape} smaller than patch size {PATCH_SIZE}")
-        for row in range(0, arr.shape[0] - PATCH_SIZE + 1, stride):
-            for col in range(0, arr.shape[1] - PATCH_SIZE + 1, stride):
+        for row in patch_grid(arr.shape[0], stride):
+            for col in patch_grid(arr.shape[1], stride):
                 mean = arr[row : row + PATCH_SIZE, col : col + PATCH_SIZE].mean()
                 counts[min(int(np.floor(mean * 255.0 + 0.5)), 255)] += 1
     return counts

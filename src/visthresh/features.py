@@ -5,6 +5,9 @@ window and reflect-101 border padding, then cropped per patch.  The MSCN
 (mean-subtracted, contrast-normalized) value at a pixel is
 ``(I - mean) / (sqrt(var) + eps)``; a patch fed to the regressor carries
 four planes: raw luminance, local mean, local variance, and MSCN.
+
+Every module that cuts patches (training samples, synthetic crops,
+threshold maps, the intensity histogram) places them with patch_grid.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .image_io import GrayImage
 DEFAULT_WINDOW_SIZE = 7
 DEFAULT_SIGMA = 7.0 / 6.0
 DEFAULT_EPSILON = 0.01
+PATCH_SIZE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +100,16 @@ def mscn_map(img, window: GaussianWindow, epsilon: float = DEFAULT_EPSILON) -> F
     moments = local_moments(arr, window)
     mscn = (arr - moments.mean_map) / (np.sqrt(moments.var_map) + epsilon)
     return FeatureMaps(mean_map=moments.mean_map, var_map=moments.var_map, mscn_map=mscn)
+
+
+def patch_grid(length: int, stride: int) -> list[int]:
+    """Stride-grid origins anchored at 0, last origin shifted to touch the border."""
+    if length < PATCH_SIZE:
+        raise DataError(f"image extent {length} smaller than patch size {PATCH_SIZE}")
+    origins = list(range(0, length - PATCH_SIZE + 1, stride))
+    if origins[-1] != length - PATCH_SIZE:
+        origins.append(length - PATCH_SIZE)
+    return origins
 
 
 def augment_patch(maps: FeatureMaps, img, origin: tuple[int, int], size: int) -> AugmentedPatch:

@@ -150,9 +150,12 @@ def read_csv_rows(path: Path) -> list[list[str]]:
     """Rows of a UTF-8 CSV file, skipping blank lines and lines starting with '#'."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            return [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+            reader = csv.reader(fh)
+            return [row for row in reader if row and not row[0].lstrip().startswith("#")]
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
 
 
 def load_manifest(path) -> list[ManifestRecord]:

@@ -1,7 +1,7 @@
 """Standalone threshold-map inference over whole images.
 
-A trained regressor is slid over the image on a stride grid (origins
-anchored at (0, 0), no border completion); each grid cell holds the
+A trained regressor is slid over the image on features.patch_grid (origins
+anchored at (0, 0), border completed); each grid cell holds the
 eval-mode threshold of the patch anchored there, plus the patch's mean
 luminance on the 0..255 scale for later outlier filtering.  Maps can be
 decimated to a coarser grid with a block-averaging filter, min-max
@@ -17,19 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .features import augment_patch, gaussian_window, mscn_map
+from .features import PATCH_SIZE, augment_patch, gaussian_window, mscn_map, patch_grid
 from .image_io import GrayImage
 from .quality_model import T_MIN
-from .regressor import PATCH_SIZE, PNetParams, _forward_batch, params_digest
+from .regressor import PNetParams, _forward_batch, params_digest
 
 
 @dataclass(eq=False)
 class ThresholdMap:
     """Grid of predicted visibility thresholds with spatial metadata.
 
-    Cell (r, c) holds the threshold of the patch anchored (top-left) at
-    pixel (r * origin_stride, c * origin_stride); assigning values to
-    patch centers instead is a rendering choice left to consumers.
+    Cell (r, c) holds the threshold of the patch anchored (top-left) at the
+    r-th row and c-th column origin of features.patch_grid at origin_stride;
+    assigning values to patch centers instead is a rendering choice left
+    to consumers.
     """
 
     values: np.ndarray          # (grid_rows, grid_cols), all >= T_MIN
@@ -50,7 +51,7 @@ class ThresholdMap:
 
 
 def predict_map(img: GrayImage, params: PNetParams, stride: int) -> ThresholdMap:
-    """Predict a threshold per patch origin on the stride grid.
+    """Predict a threshold per patch origin on the patch grid.
 
     Patch forwards run one at a time in eval mode, so every cell equals an
     independent single-patch prediction and repeated runs are bit-identical.
@@ -58,19 +59,16 @@ def predict_map(img: GrayImage, params: PNetParams, stride: int) -> ThresholdMap
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
     arr = img.pixels
-    if arr.shape[0] < PATCH_SIZE or arr.shape[1] < PATCH_SIZE:
-        raise DataError(f"image {arr.shape} smaller than the {PATCH_SIZE}x{PATCH_SIZE} patch")
-    rows = (arr.shape[0] - PATCH_SIZE) // stride + 1
-    cols = (arr.shape[1] - PATCH_SIZE) // stride + 1
+    rows, cols = patch_grid(arr.shape[0], stride), patch_grid(arr.shape[1], stride)
     maps = mscn_map(arr, gaussian_window())
-    values = np.empty((rows, cols))
-    luminance = np.empty((rows, cols))
-    for r in range(rows):
-        for c in range(cols):
-            patch = augment_patch(maps, arr, (r * stride, c * stride), PATCH_SIZE)
+    values = np.empty((len(rows), len(cols)))
+    luminance = np.empty_like(values)
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            patch = augment_patch(maps, arr, (row, col), PATCH_SIZE)
             trace = _forward_batch(patch.channels[None], params, None)
-            values[r, c] = trace.t[0]
-            luminance[r, c] = patch.channels[0].mean() * 255.0
+            values[i, j] = trace.t[0]
+            luminance[i, j] = patch.channels[0].mean() * 255.0
     return ThresholdMap(
         values=values,
         origin_stride=stride,

@@ -25,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .features import AugmentedPatch
+from .features import PATCH_SIZE, AugmentedPatch
 from .quality_model import T_MIN
 
-PATCH_SIZE = 32
 IN_CHANNELS = 4
 CONV1_FILTERS = 32
 CONV2_FILTERS = 32

@@ -23,12 +23,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError
-from .features import AugmentedPatch, augment_patch, gaussian_window, mscn_map
+from .features import PATCH_SIZE, AugmentedPatch, augment_patch, gaussian_window, mscn_map, patch_grid
 from .image_io import QualityRecord
 from .quality_model import grad_wrt_threshold_scale, mean_abs_error, predict_quality, sample_loss
 from .regressor import (
     PARAM_COUNT,
-    PATCH_SIZE,
     PNetParams,
     _backward_batch,
     _forward_batch,
@@ -70,6 +69,8 @@ class TrainConfig:
             raise DataError("patch_stride, batch_size and epochs must be positive")
         if self.learning_rate <= 0:
             raise DataError("learning_rate must be positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise DataError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
 
@@ -102,7 +103,6 @@ class TrainReport:
         }
         if config is not None:
             out["config"] = asdict(config)
-            out["seed"] = config.seed
         return out
 
 
@@ -123,16 +123,6 @@ class GradCheckReport:
     max_rel_error: float
     passed: bool
     refined: int = 0  # coordinates whose step was shrunk off an activation kink
-
-
-def patch_grid(length: int, stride: int, patch: int = PATCH_SIZE) -> list[int]:
-    """Stride-grid origins anchored at 0, last origin shifted to touch the border."""
-    if length < patch:
-        raise DataError(f"image extent {length} smaller than patch size {patch}")
-    origins = list(range(0, length - patch + 1, stride))
-    if origins[-1] != length - patch:
-        origins.append(length - patch)
-    return origins
 
 
 def build_samples(records: list[QualityRecord], cfg: TrainConfig) -> list[TrainingSample]:
@@ -298,6 +288,8 @@ def gradcheck(
     coordinate still straddling a kink at the floor keeps its estimate and
     fails the check.
     """
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     params = init_params(seed)
     params.a = float(rng.normal(0.0, 0.3))

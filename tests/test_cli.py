@@ -38,6 +38,11 @@ class TestSynth:
         assert (tiny_dataset / "oracle.csv").exists()
         assert (tiny_dataset / "synth_config.json").exists()
 
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        assert run(["synth", "--out", str(tmp_path / "d"), "--seed", "-1", "--n", "1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_checkpoint_and_summary(self, tiny_checkpoint, capsys):
@@ -63,6 +68,14 @@ class TestTrain:
         assert code == 0
         blob = json.loads(report.read_text())
         assert "train_loss" in blob and "config" in blob
+        assert blob["config"]["seed"] == 0 and "seed" not in blob
+
+    def test_negative_seed_is_data_error(self, tiny_dataset, tmp_path, capsys):
+        code = run(["train", "--manifest", str(tiny_dataset / "manifest.csv"),
+                    "--out", str(tmp_path / "c.vth"), "--epochs", "1", "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "c.vth").exists()
 
 
 class TestPredict:
@@ -194,6 +207,10 @@ class TestGradcheckCommand:
 
         monkeypatch.setattr(cli, "gradcheck", fake_gradcheck)
         assert run(["gradcheck"]) == 3
+
+    def test_negative_seed_is_data_error(self, capsys):
+        assert run(["gradcheck", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
 
 class TestHistogramCommand:

@@ -3,7 +3,9 @@
 Each example takes one pristine input file, truncates it at a random
 offset, flips one byte or replaces it with random bytes, and runs the
 command that reads it.  `cli.run` must return 0, 2 (data error) or
-3 (numeric failure), never raise.
+3 (numeric failure), never raise.  The synthetic oracle, which no command
+reads, is fuzzed the same way through `load_oracle`: it returns or raises
+DataError.
 """
 
 import shutil
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from visthresh.cli import run
+from visthresh.errors import DataError
 from visthresh.image_io import GrayImage, save_pgm, write_manifest
 from visthresh.inference import export_map, predict_map
 from visthresh.regressor import init_params, save_checkpoint
+from visthresh.synthetic import load_oracle
 
 # {d} is the directory holding the inputs
 PREDICT = ["predict", "--model", "{d}/model.vth", "--image", "{d}/img.pgm", "--out", "{d}/out"]
@@ -54,6 +58,10 @@ def pristine(tmp_path_factory):
         f"{r},{c},{-20.0 + r - 0.5 * c + 0.25 * r * c}" for r in range(3) for c in range(3)
     ]
     (root / "gt.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (root / "oracle.csv").write_text(
+        "patch_id,t_star\nimg0000_r000_c000,0.0731\nimg0000_r000_c016,0.11250000000000002\n",
+        encoding="utf-8",
+    )
     for argv in (PREDICT, EVALUATE, HISTOGRAM):
         assert run([a.format(d=root) for a in argv]) == 0
     return root
@@ -80,3 +88,14 @@ def test_corrupt_input_exits_cleanly(pristine, tmp_path_factory, target, data):
     shutil.copytree(pristine, work)
     (work / target).write_bytes(data.draw(corrupted(blob)))
     assert run([a.format(d=work) for a in TARGETS[target]]) in (0, 2, 3)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrupt_oracle_loads_or_is_data_error(pristine, tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-oracle.csv"
+    path.write_bytes(data.draw(corrupted((pristine / "oracle.csv").read_bytes())))
+    try:
+        load_oracle(path)
+    except DataError:
+        pass

@@ -318,6 +318,15 @@ class TestIntensityHistogram:
         # origins: rows {0,16,32}, cols {0,16} -> 6 patches per image
         assert counts.sum() == 18
 
+    def test_border_patches_counted(self):
+        # origins {0, 8} per axis: the stride misses the border, which
+        # gets its own patch
+        img = GrayImage(np.tile(np.linspace(0.0, 1.0, 40), (40, 1)))
+        counts = intensity_histogram([img], stride=16)
+        assert counts.sum() == 4
+        right = img.pixels[:32, 8:40].mean()
+        assert counts[min(int(np.floor(right * 255.0 + 0.5)), 255)] == 2
+
     def test_matches_brute_force_on_shaded_image(self):
         # smooth shading plus noise, quantized to the 8-bit lattice like a
         # real loaded image; patch means then sit away from bin boundaries

@@ -146,6 +146,11 @@ class TestManifest:
         with pytest.raises(DataError, match=r"m.csv:2: NUL byte"):
             load_manifest(tmp_path / "m.csv")
 
+    def test_oversized_field_is_data_error(self, tmp_path):
+        (tmp_path / "m.csv").write_text(f"{MANIFEST_HEADER}\n{'a' * 200_000},b,0.5,0,1,up\n")
+        with pytest.raises(DataError, match=r"m.csv:2: malformed CSV"):
+            load_manifest(tmp_path / "m.csv")
+
     def test_score_outside_range_rejected(self, tmp_path):
         (tmp_path / "m.csv").write_text(f"{MANIFEST_HEADER}\na,b,5,0,1,higher_is_worse\n")
         with pytest.raises(DataError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from visthresh.errors import DataError
-from visthresh.features import augment_patch, gaussian_window, mscn_map
+from visthresh.features import augment_patch, gaussian_window, mscn_map, patch_grid
 from visthresh.image_io import GrayImage
 from visthresh.inference import (
     ThresholdMap,
@@ -68,6 +68,21 @@ class TestPredictMap:
                 patch = augment_patch(maps, test_image.pixels, (r * 32, c * 32), 32)
                 trace = _forward_batch(patch.channels[None], trained_like_params, None)
                 assert tmap.values[r, c] == trace.t[0]
+
+    def test_border_cells_complete_the_grid(self, trained_like_params):
+        # (70 - 32) % 16 and (90 - 32) % 16 are nonzero: the last row and
+        # column sit at the border, at origins 38 and 58
+        img = GrayImage(np.random.default_rng(7).uniform(0.1, 0.9, (70, 90)))
+        tmap = predict_map(img, trained_like_params, stride=16)
+        rows, cols = patch_grid(70, 16), patch_grid(90, 16)
+        assert tmap.values.shape == (len(rows), len(cols)) == (4, 5)
+        maps = mscn_map(img.pixels, gaussian_window())
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                patch = augment_patch(maps, img.pixels, (r, c), 32)
+                trace = _forward_batch(patch.channels[None], trained_like_params, None)
+                assert tmap.values[i, j] == trace.t[0]
+                assert tmap.mean_luminance[i, j] == patch.channels[0].mean() * 255.0
 
     def test_stride_subgrid_consistency(self, test_image, trained_like_params):
         fine = predict_map(test_image, trained_like_params, stride=16)
