@@ -292,10 +292,10 @@ def load_groundtruth(path) -> np.ndarray:
     """
     path = Path(path)
     rows = read_csv_rows(path)
-    if not rows or tuple(cell.strip() for cell in rows[0]) != ("row", "col", "threshold_db"):
+    if not rows or tuple(cell.strip() for cell in rows[0][1]) != ("row", "col", "threshold_db"):
         raise DataError(f"{path}: expected header 'row,col,threshold_db'")
     cells: dict[tuple[int, int], float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 columns")
         try:

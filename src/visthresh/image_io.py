@@ -146,12 +146,20 @@ def save_pgm(img: GrayImage, path) -> None:
     Path(path).write_bytes(header + quantized.tobytes())
 
 
-def read_csv_rows(path: Path) -> list[list[str]]:
-    """Rows of a UTF-8 CSV file, skipping blank lines and lines starting with '#'."""
+def read_csv_rows(path: Path) -> list[tuple[int, list[str]]]:
+    """(line number, row) pairs of a UTF-8 CSV file.
+
+    Blank lines and lines starting with '#' are skipped; the line number is
+    the file's own, so error messages can name it.
+    """
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            return [row for row in reader if row and not row[0].lstrip().startswith("#")]
+            return [
+                (reader.line_num, row)
+                for row in reader
+                if row and not row[0].lstrip().startswith("#")
+            ]
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
@@ -170,11 +178,11 @@ def load_manifest(path) -> list[ManifestRecord]:
     rows = read_csv_rows(path)
     if not rows:
         raise DataError(f"{path}: empty manifest, missing header")
-    header = tuple(cell.strip() for cell in rows[0])
+    header = tuple(cell.strip() for cell in rows[0][1])
     if header != MANIFEST_HEADER:
         raise DataError(f"{path}: bad manifest header {header}, expected {MANIFEST_HEADER}")
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(MANIFEST_HEADER):
             raise DataError(f"{path}:{lineno}: expected {len(MANIFEST_HEADER)} columns, got {len(row)}")
         ref, dist, raw, lo, hi, polarity = (cell.strip() for cell in row)

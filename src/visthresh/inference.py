@@ -3,9 +3,23 @@
 A trained regressor is slid over the image on features.patch_grid (origins
 anchored at (0, 0), border completed); each grid cell holds the
 eval-mode threshold of the patch anchored there, plus the patch's mean
-luminance on the 0..255 scale for later outlier filtering.  Maps can be
-decimated to a coarser grid with a block-averaging filter, min-max
-normalized for visualization, and exported as CSV with a JSON sidecar.
+luminance on the 0..255 scale for later outlier filtering.
+
+The network's two 2x2 pools make patches whose origins differ by a
+multiple of 4 share every convolution output, so the map is not built
+from one forward per cell.  The grid origins are split by phase
+(row mod 4, col mod 4), and for each phase that occurs the conv stack runs
+over tiles of TILE_CELLS x TILE_CELLS lattice cells of that phase
+(regressor.lattice_thresholds).  Tiles are anchored at absolute lattice
+positions and always cover every lattice cell in their range, so a cell's
+value does not depend on the stride, and a tile bounds the working memory
+whatever the image size.  A cell equals the single-patch forward to within
+1e-12 relative (the convolutions sum in another order); repeated runs are
+bit-identical.
+
+Maps can be decimated to a coarser grid with a block-averaging filter,
+min-max normalized for visualization, and exported as CSV with a JSON
+sidecar.
 """
 
 from __future__ import annotations
@@ -17,10 +31,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+# augment_patch and _forward_batch are unused here but stay bound:
+# bench/tracing.py wraps inference.augment_patch and inference._forward_batch
 from .features import PATCH_SIZE, augment_patch, gaussian_window, mscn_map, patch_grid
 from .image_io import GrayImage
 from .quality_model import T_MIN
-from .regressor import PNetParams, _forward_batch, params_digest
+from .regressor import PNetParams, _forward_batch, lattice_thresholds, params_digest
+
+LATTICE = 4  # origin spacing at which patches share conv outputs (two 2x2 pools)
+TILE_CELLS = 8  # lattice cells per tile side: 60x60-pixel tiles, a 2.5 MB conv1 im2col
 
 
 @dataclass(eq=False)
@@ -50,25 +69,53 @@ class ThresholdMap:
         return self.values.shape[1]
 
 
+def _tiles(origins: list[int], length: int) -> list[tuple[int, int, list[int], list[int]]]:
+    """Group one axis's grid origins into lattice tiles.
+
+    Returns (first pixel, end pixel, grid indices, cells within the tile)
+    per tile that holds at least one origin.  An origin's tile is fixed by
+    its phase and its absolute lattice position alone.
+    """
+    members: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for k, origin in enumerate(origins):
+        phase, cell = origin % LATTICE, origin // LATTICE
+        first = cell - cell % TILE_CELLS
+        members.setdefault((phase, first), []).append((k, cell - first))
+    tiles = []
+    for (phase, first), pairs in sorted(members.items()):
+        n_cells = min(TILE_CELLS, (length - PATCH_SIZE - phase) // LATTICE + 1 - first)
+        start = phase + LATTICE * first
+        grid_idx, tile_idx = zip(*pairs)
+        tiles.append((start, start + LATTICE * (n_cells - 1) + PATCH_SIZE,
+                      list(grid_idx), list(tile_idx)))
+    return tiles
+
+
 def predict_map(img: GrayImage, params: PNetParams, stride: int) -> ThresholdMap:
     """Predict a threshold per patch origin on the patch grid.
 
-    Patch forwards run one at a time in eval mode, so every cell equals an
-    independent single-patch prediction and repeated runs are bit-identical.
+    The conv stack runs once per lattice tile (see the module docstring),
+    so every cell is within 1e-12 relative of an independent single-patch
+    prediction, a cell's value is the same at every stride whose grid
+    holds its origin, and repeated runs are bit-identical.  The mean
+    luminance is computed per patch, as augment_patch would crop it.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
     arr = img.pixels
     rows, cols = patch_grid(arr.shape[0], stride), patch_grid(arr.shape[1], stride)
     maps = mscn_map(arr, gaussian_window())
+    planes = (arr, maps.mean_map, maps.var_map, maps.mscn_map)
     values = np.empty((len(rows), len(cols)))
-    luminance = np.empty_like(values)
-    for i, row in enumerate(rows):
-        for j, col in enumerate(cols):
-            patch = augment_patch(maps, arr, (row, col), PATCH_SIZE)
-            trace = _forward_batch(patch.channels[None], params, None)
-            values[i, j] = trace.t[0]
-            luminance[i, j] = patch.channels[0].mean() * 255.0
+    for top, bottom, grid_rows, tile_rows in _tiles(rows, arr.shape[0]):
+        for left, right, grid_cols, tile_cols in _tiles(cols, arr.shape[1]):
+            tile = np.stack([plane[top:bottom, left:right] for plane in planes])
+            cells = lattice_thresholds(tile, params)
+            values[np.ix_(grid_rows, grid_cols)] = cells[np.ix_(tile_rows, tile_cols)]
+    windows = np.lib.stride_tricks.sliding_window_view(arr, (PATCH_SIZE, PATCH_SIZE))
+    # a contiguous (cols, 32, 32) copy per row sums each patch in the same
+    # order as the mean of its augment_patch luminance plane
+    luminance = np.stack([windows[row, cols].mean(axis=(1, 2)) for row in rows]) * 255.0
     return ThresholdMap(
         values=values,
         origin_stride=stride,

@@ -11,6 +11,11 @@ Gradients are computed by hand with reverse-mode chain rule; pooling routes
 the gradient to the argmax (first index wins ties, row-major within the
 2x2 window).  The global log-scale parameter ``a`` rides along with the
 network parameters but its gradient comes from the quality model.
+
+Threshold maps use an eval-only whole-image pass instead
+(lattice_thresholds): the convolutions and pools run once over a feature
+image, and every patch whose origin is a multiple of 4 reads its pool-2
+output from the shared map.
 """
 
 from __future__ import annotations
@@ -216,6 +221,12 @@ def _pool2(x):
     return np.where(top_wins, vtop, vbot), np.where(top_wins, itop, ibot)
 
 
+def _pool2_values(x):
+    """Values of _pool2 without the argmax, for eval-only passes."""
+    top = np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
+    return np.maximum(top, np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
+
+
 def _pool2_backward(dpool, idx, x_shape):
     dx = np.zeros(x_shape)
     dx[:, 0::2, 0::2] = dpool * (idx == 0)
@@ -232,6 +243,19 @@ def dropout_mask(seed: int, batch: int = 1) -> np.ndarray:
     return keep / (1.0 - DROPOUT_RATE)
 
 
+def _head(flat: np.ndarray, params: PNetParams, masks: np.ndarray | None):
+    """fc1 -> relu (-> dropout) -> scalar head -> threshold on (B, 800) rows.
+
+    Returns (fc1_pre, dropped, z, t), the fully connected stages of a trace.
+    """
+    fc1_pre = flat @ params.fc1_w.T + params.fc1_b
+    fc1_out = np.maximum(fc1_pre, 0.0)
+    dropped = fc1_out * masks if masks is not None else fc1_out
+    z = dropped @ params.fc2_w + params.fc2_b
+    t = np.logaddexp(0.0, z) + T_MIN  # overflow-safe softplus
+    return fc1_pre, dropped, z, t
+
+
 def _forward_batch(
     x: np.ndarray, params: PNetParams, masks: np.ndarray | None, ws: dict | None = None
 ) -> ForwardTrace:
@@ -242,11 +266,7 @@ def _forward_batch(
     pre2, cols2 = _conv_valid(pooled1, params.conv2_w, params.conv2_b, ws=ws, tag="c2.")
     pooled2, idx2 = _pool2(np.maximum(pre2, 0.0))
     flat = pooled2.transpose(3, 0, 1, 2).reshape(batch, FLAT_SIZE)
-    fc1_pre = flat @ params.fc1_w.T + params.fc1_b
-    fc1_out = np.maximum(fc1_pre, 0.0)
-    dropped = fc1_out * masks if masks is not None else fc1_out
-    z = dropped @ params.fc2_w + params.fc2_b
-    t = np.logaddexp(0.0, z) + T_MIN  # overflow-safe softplus
+    fc1_pre, dropped, z, t = _head(flat, params, masks)
     return ForwardTrace(
         cols1=cols1, pre1=pre1, idx1=idx1, cols2=cols2, pre2=pre2, idx2=idx2,
         flat=flat, fc1_pre=fc1_pre, dropout_mask=masks, dropped=dropped, z=z, t=t,
@@ -305,6 +325,58 @@ def backward(trace: ForwardTrace, params: PNetParams, dl_dt: float) -> PNetParam
     if trace.z.shape[0] != 1:
         raise DataError("backward expects a single-patch trace")
     return _backward_batch(trace, params, np.array([dl_dt], dtype=np.float64))
+
+
+def _conv_shifted(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Valid convolution of one (C, H, W) map as one GEMM per kernel offset.
+
+    On the row-flattened map, the input of output pixel (y, x) at offset
+    (u, v) sits u * W + v further on, so each offset is a single shifted
+    (C, n) slice and no im2col copy is made.  The last K - 1 values of each
+    output row wrap into the next input row and are cut off.
+    """
+    c, h, w_ = x.shape
+    f, _, k, _ = w.shape
+    oh, ow = h - k + 1, w_ - k + 1
+    flat = x.reshape(c, h * w_)
+    n = (oh - 1) * w_ + ow
+    out = np.empty((f, oh * w_))
+    acc = out[:, :n]
+    acc[...] = b[:, None]
+    for u in range(k):
+        for v in range(k):
+            acc += w[:, :, u, v] @ flat[:, u * w_ + v : u * w_ + v + n]
+    return out.reshape(f, oh, w_)[:, :, :ow]
+
+
+def _pooled_map(x: np.ndarray, params: PNetParams) -> np.ndarray:
+    """Eval-mode conv stack over a whole (4, H, W) feature image.
+
+    Pooling then relu gives the same values as relu then pooling, on a
+    quarter of the elements.  With H = 4m + 28 and W = 4n + 28 the result
+    is (32, m + 4, n + 4), and its 5x5 window at (i, j) is the pool-2
+    output of the 32x32 patch at pixel (4i, 4j): both pools pair the same
+    rows and columns as they do inside that patch.
+    """
+    pre1, _ = _conv_valid(x[..., None], params.conv1_w, params.conv1_b)
+    pooled1 = np.maximum(_pool2_values(pre1[..., 0]), 0.0)
+    pre2 = _conv_shifted(pooled1, params.conv2_w, params.conv2_b)
+    return np.maximum(_pool2_values(pre2), 0.0)
+
+
+def lattice_thresholds(x: np.ndarray, params: PNetParams) -> np.ndarray:
+    """Eval-mode thresholds of every patch of x whose origin is a multiple of 4.
+
+    x is a (4, 4m + 28, 4n + 28) feature image; cell (i, j) of the (m, n)
+    result is the threshold of the patch at pixel (4i, 4j).  It equals the
+    single-patch forward to about 1e-15 relative: the convolutions sum in
+    another order, every other operation is the same.
+    """
+    pooled = _pooled_map(x, params)
+    windows = np.lib.stride_tricks.sliding_window_view(pooled, (5, 5), axis=(1, 2))
+    m, n = windows.shape[1:3]
+    flat = windows.transpose(1, 2, 0, 3, 4).reshape(m * n, FLAT_SIZE)
+    return _head(flat, params, None)[3].reshape(m, n)
 
 
 def params_digest(params: PNetParams) -> str:

@@ -137,10 +137,10 @@ def load_oracle(path) -> dict[str, float]:
     """Read oracle.csv into {patch_id: T*}."""
     path = Path(path)
     rows = read_csv_rows(path)
-    if not rows or rows[0] != ["patch_id", "t_star"]:
+    if not rows or rows[0][1] != ["patch_id", "t_star"]:
         raise DataError(f"{path}: expected header 'patch_id,t_star'")
     out = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         try:
             pid, value = row
             out[pid] = float(value)

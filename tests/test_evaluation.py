@@ -387,6 +387,11 @@ class TestGroundTruth:
         with pytest.raises(DataError, match=r"gt.csv:6: negative cell index"):
             load_groundtruth(tmp_path / "gt.csv")
 
+    def test_error_names_file_line_after_blank_and_comment(self, tmp_path):
+        (tmp_path / "gt.csv").write_text(f"{GT_HEADER}\n0,0,1.0\n\n# comment\n0,x,2.0\n")
+        with pytest.raises(DataError, match=r"gt.csv:5: unparsable cell"):
+            load_groundtruth(tmp_path / "gt.csv")
+
     def test_huge_index_lists_few_missing_cells(self, tmp_path):
         (tmp_path / "gt.csv").write_text(f"{GT_HEADER}\n0,0,1.0\n1000000000,1000000000,2.0\n")
         with pytest.raises(DataError, match=r"missing cells") as err:

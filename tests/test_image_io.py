@@ -146,6 +146,13 @@ class TestManifest:
         with pytest.raises(DataError, match=r"m.csv:2: NUL byte"):
             load_manifest(tmp_path / "m.csv")
 
+    def test_error_names_file_line_after_blank_and_comment(self, tmp_path):
+        (tmp_path / "m.csv").write_text(
+            f"{MANIFEST_HEADER}\n\n# comment\na,b,xx,0,1,higher_is_worse\n"
+        )
+        with pytest.raises(DataError, match=r"m.csv:4: unparsable number"):
+            load_manifest(tmp_path / "m.csv")
+
     def test_oversized_field_is_data_error(self, tmp_path):
         (tmp_path / "m.csv").write_text(f"{MANIFEST_HEADER}\n{'a' * 200_000},b,0.5,0,1,up\n")
         with pytest.raises(DataError, match=r"m.csv:2: malformed CSV"):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,17 @@ def make_map(values, **kwargs) -> ThresholdMap:
     )
     defaults.update(kwargs)
     return ThresholdMap(values=values, **defaults)
+
+
+def single_patch_threshold(maps, pixels, origin, params) -> float:
+    """The per-patch reference: one batch-1 forward of the patch at origin."""
+    patch = augment_patch(maps, pixels, origin, 32)
+    return _forward_batch(patch.channels[None], params, None).t[0]
+
+
+def assert_rel_close(got, want):
+    # the whole-image pass sums the convolutions in another order
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +77,10 @@ class TestPredictMap:
         maps = mscn_map(test_image.pixels, gaussian_window())
         for r in range(2):
             for c in range(2):
-                patch = augment_patch(maps, test_image.pixels, (r * 32, c * 32), 32)
-                trace = _forward_batch(patch.channels[None], trained_like_params, None)
-                assert tmap.values[r, c] == trace.t[0]
+                want = single_patch_threshold(
+                    maps, test_image.pixels, (r * 32, c * 32), trained_like_params
+                )
+                assert_rel_close(tmap.values[r, c], want)
 
     def test_border_cells_complete_the_grid(self, trained_like_params):
         # (70 - 32) % 16 and (90 - 32) % 16 are nonzero: the last row and
@@ -81,8 +94,38 @@ class TestPredictMap:
             for j, c in enumerate(cols):
                 patch = augment_patch(maps, img.pixels, (r, c), 32)
                 trace = _forward_batch(patch.channels[None], trained_like_params, None)
-                assert tmap.values[i, j] == trace.t[0]
+                assert_rel_close(tmap.values[i, j], trace.t[0])
                 assert tmap.mean_luminance[i, j] == patch.channels[0].mean() * 255.0
+
+    @pytest.mark.parametrize("shape", [(32, 32), (33, 100), (70, 90), (97, 130), (130, 97)])
+    def test_every_cell_matches_per_patch_forward(self, shape, trained_like_params):
+        # the strides reach every row/col phase mod 4 and leave border cells
+        # at L - 32; each origin's reference is computed once per image
+        img = GrayImage(np.random.default_rng(shape).uniform(0.1, 0.9, shape))
+        maps = mscn_map(img.pixels, gaussian_window())
+        reference = {}
+        for stride in (1, 3, 4, 5, 7, 13, 16, 32):
+            tmap = predict_map(img, trained_like_params, stride)
+            rows, cols = patch_grid(shape[0], stride), patch_grid(shape[1], stride)
+            assert tmap.values.shape == (len(rows), len(cols))
+            for i, r in enumerate(rows):
+                for j, c in enumerate(cols):
+                    if (r, c) not in reference:
+                        reference[r, c] = single_patch_threshold(
+                            maps, img.pixels, (r, c), trained_like_params
+                        )
+                    assert_rel_close(tmap.values[i, j], reference[r, c])
+
+    def test_traced_peak_memory_bounded(self, trained_like_params):
+        # tiles bound the working set; a whole-image im2col would need > 200 MB
+        img = GrayImage(np.random.default_rng(5).uniform(0.1, 0.9, (512, 512)))
+        tracemalloc.start()
+        try:
+            predict_map(img, trained_like_params, stride=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_stride_subgrid_consistency(self, test_image, trained_like_params):
         fine = predict_map(test_image, trained_like_params, stride=16)

@@ -103,3 +103,8 @@ class TestOracle:
         (tmp_path / "oracle.csv").write_text(f"patch_id,t_star\np1,0.2\n{row}\n")
         with pytest.raises(DataError, match=r"oracle.csv:3"):
             load_oracle(tmp_path / "oracle.csv")
+
+    def test_error_names_file_line_after_blank_and_comment(self, tmp_path):
+        (tmp_path / "oracle.csv").write_text("patch_id,t_star\n\n# comment\np0,abc\n")
+        with pytest.raises(DataError, match=r"oracle.csv:4:"):
+            load_oracle(tmp_path / "oracle.csv")
