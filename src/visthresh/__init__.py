@@ -14,10 +14,10 @@ from .evaluation import (
     rmse,
 )
 from .features import (
-    AugmentedPatch,
     FeatureMaps,
     GaussianWindow,
     augment_patch,
+    feature_planes,
     gaussian_window,
     local_moments,
     mscn_map,
@@ -66,7 +66,7 @@ __all__ = [
     "DataError", "NumericError",
     "EvalResult", "MonotoneCubic", "PairedData", "evaluate", "fit_monotonic_cubic",
     "intensity_histogram", "load_groundtruth", "pair_with_map", "plcc", "rmse",
-    "AugmentedPatch", "FeatureMaps", "GaussianWindow", "augment_patch",
+    "FeatureMaps", "GaussianWindow", "augment_patch", "feature_planes",
     "gaussian_window", "local_moments", "mscn_map",
     "GrayImage", "ManifestRecord", "QualityRecord", "load_manifest", "load_pgm",
     "load_quality_records", "normalize_score", "save_pgm",

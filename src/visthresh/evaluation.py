@@ -68,21 +68,18 @@ class MonotoneCubic:
     direction: str  # "increasing" | "decreasing"
     residual_rmse: float
     converged: bool
-    center: float = 0.0
-    scale: float = 1.0
-    scaled_coefficients: tuple[float, float, float, float] | None = None
-
-    def _scaled(self) -> tuple[float, float, float, float]:
-        return self.scaled_coefficients if self.scaled_coefficients is not None else self.coefficients
+    center: float
+    scale: float
+    scaled_coefficients: tuple[float, float, float, float]
 
     def __call__(self, x) -> np.ndarray:
-        c0, c1, c2, c3 = self._scaled()
+        c0, c1, c2, c3 = self.scaled_coefficients
         t = (np.asarray(x, dtype=np.float64) - self.center) / self.scale
         return ((c3 * t + c2) * t + c1) * t + c0
 
     def derivative(self, x) -> np.ndarray:
         """dp/dx, evaluated through the standardized form."""
-        _, c1, c2, c3 = self._scaled()
+        _, c1, c2, c3 = self.scaled_coefficients
         t = (np.asarray(x, dtype=np.float64) - self.center) / self.scale
         return ((3.0 * c3 * t + 2.0 * c2) * t + c1) / self.scale
 

@@ -3,8 +3,9 @@
 All three maps are computed over the full image with a normalized Gaussian
 window and reflect-101 border padding, then cropped per patch.  The MSCN
 (mean-subtracted, contrast-normalized) value at a pixel is
-``(I - mean) / (sqrt(var) + eps)``; a patch fed to the regressor carries
-four planes: raw luminance, local mean, local variance, and MSCN.
+``(I - mean) / (sqrt(var) + eps)``.  A patch fed to the regressor is a
+``(4, N, N)`` array of the planes feature_planes returns, in that order:
+raw luminance, local mean, local variance, and MSCN.
 
 Every module that cuts patches (training samples, synthetic crops,
 threshold maps, the intensity histogram) places them with patch_grid.
@@ -41,15 +42,6 @@ class FeatureMaps:
     mean_map: np.ndarray
     var_map: np.ndarray
     mscn_map: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class AugmentedPatch:
-    """Four N x N planes for one patch: luminance, local mean, variance, MSCN."""
-
-    origin: tuple[int, int]
-    size: int
-    channels: np.ndarray  # (4, N, N)
 
 
 def _pixels(img) -> np.ndarray:
@@ -112,20 +104,17 @@ def patch_grid(length: int, stride: int) -> list[int]:
     return origins
 
 
-def augment_patch(maps: FeatureMaps, img, origin: tuple[int, int], size: int) -> AugmentedPatch:
-    """Crop the luminance and the three maps at `origin` into a 4-plane patch."""
-    arr = _pixels(img)
-    row, col = origin
-    if row < 0 or col < 0 or row + size > arr.shape[0] or col + size > arr.shape[1]:
-        raise DataError(f"patch at {origin} size {size} exceeds image bounds {arr.shape}")
+def feature_planes(maps: FeatureMaps, img) -> tuple[np.ndarray, ...]:
+    """The image-sized regressor input planes; the one place their order is written."""
     if maps.mscn_map is None:
-        raise DataError("augment_patch needs feature maps including MSCN")
-    channels = np.stack(
-        [
-            arr[row : row + size, col : col + size],
-            maps.mean_map[row : row + size, col : col + size],
-            maps.var_map[row : row + size, col : col + size],
-            maps.mscn_map[row : row + size, col : col + size],
-        ]
-    )
-    return AugmentedPatch(origin=(row, col), size=size, channels=channels)
+        raise DataError("feature planes need feature maps including MSCN")
+    return (_pixels(img), maps.mean_map, maps.var_map, maps.mscn_map)
+
+
+def augment_patch(maps: FeatureMaps, img, origin: tuple[int, int], size: int) -> np.ndarray:
+    """Crop the four feature planes at `origin` into a (4, size, size) patch."""
+    planes = feature_planes(maps, img)
+    row, col = origin
+    if row < 0 or col < 0 or row + size > planes[0].shape[0] or col + size > planes[0].shape[1]:
+        raise DataError(f"patch at {origin} size {size} exceeds image bounds {planes[0].shape}")
+    return np.stack([plane[row : row + size, col : col + size] for plane in planes])

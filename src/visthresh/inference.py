@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DataError
 # augment_patch and _forward_batch are unused here but stay bound:
 # bench/tracing.py wraps inference.augment_patch and inference._forward_batch
-from .features import PATCH_SIZE, augment_patch, gaussian_window, mscn_map, patch_grid
+from .features import PATCH_SIZE, augment_patch, feature_planes, gaussian_window, mscn_map, patch_grid
 from .image_io import GrayImage
 from .quality_model import T_MIN
 from .regressor import PNetParams, _forward_batch, lattice_thresholds, params_digest
@@ -104,8 +104,7 @@ def predict_map(img: GrayImage, params: PNetParams, stride: int) -> ThresholdMap
         raise DataError(f"stride must be >= 1, got {stride}")
     arr = img.pixels
     rows, cols = patch_grid(arr.shape[0], stride), patch_grid(arr.shape[1], stride)
-    maps = mscn_map(arr, gaussian_window())
-    planes = (arr, maps.mean_map, maps.var_map, maps.mscn_map)
+    planes = feature_planes(mscn_map(arr, gaussian_window()), arr)
     values = np.empty((len(rows), len(cols)))
     for top, bottom, grid_rows, tile_rows in _tiles(rows, arr.shape[0]):
         for left, right, grid_cols, tile_cols in _tiles(cols, arr.shape[1]):

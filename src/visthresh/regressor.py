@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .features import PATCH_SIZE, AugmentedPatch
+from .features import PATCH_SIZE
 from .quality_model import T_MIN
 
 IN_CHANNELS = 4
@@ -301,7 +301,7 @@ def _backward_batch(
 
 
 def _as_batch(patch) -> np.ndarray:
-    x = patch.channels if isinstance(patch, AugmentedPatch) else np.asarray(patch, dtype=np.float64)
+    x = np.asarray(patch, dtype=np.float64)
     if x.shape != (IN_CHANNELS, PATCH_SIZE, PATCH_SIZE):
         raise DataError(f"patch must have shape (4, 32, 32), got {x.shape}")
     return x[None]

@@ -7,6 +7,10 @@ target quality and the quality predicted from (patch error E, regressed
 threshold T, learned scale alpha), using Adam on all parameters including
 a = log alpha.
 
+A sample holds its record's stacked feature planes and its patch origin,
+not a copy of the patch, so the patches cost 32 bytes per image pixel
+whatever the stride; batches are cut from the planes as they run.
+
 Determinism contract: all randomness (split, epoch shuffles, per-sample
 dropout masks) derives from config.seed through numpy's PCG64 generator
 with fixed derivation paths, so identical (records, config) reproduce the
@@ -23,7 +27,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError
-from .features import PATCH_SIZE, AugmentedPatch, augment_patch, gaussian_window, mscn_map, patch_grid
+# augment_patch is unused here but stays bound:
+# bench/tracing.py wraps training.augment_patch
+from .features import PATCH_SIZE, augment_patch, feature_planes, gaussian_window, mscn_map, patch_grid
 from .image_io import QualityRecord
 from .quality_model import grad_wrt_threshold_scale, mean_abs_error, predict_quality, sample_loss
 from .regressor import (
@@ -77,9 +83,10 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrainingSample:
-    """One (augmented patch, patch error, quality target) triple."""
+    """A patch origin in its record's shared (4, H, W) feature planes, with error and target."""
 
-    patch: AugmentedPatch
+    planes: np.ndarray
+    origin: tuple[int, int]
     e: float
     q_target: float
     group: int  # index of the source record, to join a sample back to it
@@ -136,7 +143,7 @@ def build_samples(records: list[QualityRecord], cfg: TrainConfig) -> list[Traini
     for group, rec in enumerate(records):
         ref = rec.reference.pixels
         dist = rec.distorted.pixels
-        maps = mscn_map(dist, window)
+        planes = np.stack(feature_planes(mscn_map(dist, window), dist))
         for row in patch_grid(dist.shape[0], cfg.patch_stride):
             for col in patch_grid(dist.shape[1], cfg.patch_stride):
                 ref_crop = ref[row : row + PATCH_SIZE, col : col + PATCH_SIZE]
@@ -144,8 +151,7 @@ def build_samples(records: list[QualityRecord], cfg: TrainConfig) -> list[Traini
                 e = mean_abs_error(ref_crop, dist_crop)
                 if e < E_MIN:
                     continue
-                patch = augment_patch(maps, dist, (row, col), PATCH_SIZE)
-                samples.append(TrainingSample(patch=patch, e=e, q_target=rec.q_global, group=group))
+                samples.append(TrainingSample(planes, (row, col), e, rec.q_global, group))
     return samples
 
 
@@ -175,7 +181,11 @@ def split_indices(samples: list[TrainingSample], cfg: TrainConfig) -> tuple[list
 
 
 def _stack_patches(samples: list[TrainingSample], indices) -> np.ndarray:
-    return np.stack([samples[i].patch.channels for i in indices])
+    crops = []
+    for i in indices:
+        row, col = samples[i].origin
+        crops.append(samples[i].planes[:, row : row + PATCH_SIZE, col : col + PATCH_SIZE])
+    return np.stack(crops)
 
 
 def predict_sample_thresholds(
@@ -294,7 +304,7 @@ def gradcheck(
     params = init_params(seed)
     params.a = float(rng.normal(0.0, 0.3))
     lum = rng.uniform(0.0, 1.0, (PATCH_SIZE, PATCH_SIZE))
-    channels = np.stack(
+    patch = np.stack(
         [
             lum,
             rng.uniform(0.0, 1.0, (PATCH_SIZE, PATCH_SIZE)),
@@ -302,7 +312,6 @@ def gradcheck(
             rng.normal(0.0, 1.0, (PATCH_SIZE, PATCH_SIZE)),
         ]
     )
-    patch = AugmentedPatch(origin=(0, 0), size=PATCH_SIZE, channels=channels)
     e = float(rng.uniform(0.005, 0.2))
     q_target = float(rng.uniform(0.0, 1.0))
 

@@ -416,6 +416,8 @@ class TestGroundTruth:
 
 class TestMonotoneCubicType:
     def test_callable_and_derivative(self):
-        cubic = MonotoneCubic((1.0, 2.0, 0.0, 0.5), "increasing", 0.0, True)
+        cubic = MonotoneCubic(
+            (1.0, 2.0, 0.0, 0.5), "increasing", 0.0, True, 0.0, 1.0, (1.0, 2.0, 0.0, 0.5)
+        )
         assert cubic(2.0) == pytest.approx(1.0 + 4.0 + 4.0)
         assert cubic.derivative(2.0) == pytest.approx(2.0 + 6.0)

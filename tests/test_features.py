@@ -133,27 +133,27 @@ class TestAugmentPatch:
         img = np.full((40, 40), 0.6)
         maps = mscn_map(img, gaussian_window())
         patch = augment_patch(maps, img, (4, 4), 32)
-        assert patch.channels.shape == (4, 32, 32)
-        assert np.max(np.abs(patch.channels[0] - 0.6)) == 0.0
-        assert np.max(np.abs(patch.channels[1] - 0.6)) < 1e-12
-        assert np.max(np.abs(patch.channels[2])) < 1e-12
-        assert np.max(np.abs(patch.channels[3])) == 0.0
+        assert patch.shape == (4, 32, 32)
+        assert np.max(np.abs(patch[0] - 0.6)) == 0.0
+        assert np.max(np.abs(patch[1] - 0.6)) < 1e-12
+        assert np.max(np.abs(patch[2])) < 1e-12
+        assert np.max(np.abs(patch[3])) == 0.0
 
     def test_full_image_crop_equals_maps(self, rng):
         img = rng.uniform(0.0, 1.0, (32, 32))
         maps = mscn_map(img, gaussian_window())
         patch = augment_patch(maps, img, (0, 0), 32)
-        np.testing.assert_array_equal(patch.channels[0], img)
-        np.testing.assert_array_equal(patch.channels[1], maps.mean_map)
-        np.testing.assert_array_equal(patch.channels[2], maps.var_map)
-        np.testing.assert_array_equal(patch.channels[3], maps.mscn_map)
+        np.testing.assert_array_equal(patch[0], img)
+        np.testing.assert_array_equal(patch[1], maps.mean_map)
+        np.testing.assert_array_equal(patch[2], maps.var_map)
+        np.testing.assert_array_equal(patch[3], maps.mscn_map)
 
     def test_crop_matches_direct_indexing(self, rng):
         img = rng.uniform(0.0, 1.0, (48, 64))
         maps = mscn_map(img, gaussian_window())
         patch = augment_patch(maps, img, (7, 21), 32)
-        np.testing.assert_array_equal(patch.channels[3], maps.mscn_map[7:39, 21:53])
-        np.testing.assert_array_equal(patch.channels[0], img[7:39, 21:53])
+        np.testing.assert_array_equal(patch[3], maps.mscn_map[7:39, 21:53])
+        np.testing.assert_array_equal(patch[0], img[7:39, 21:53])
 
     def test_out_of_bounds(self, rng):
         img = rng.uniform(0.0, 1.0, (40, 40))
@@ -165,6 +165,6 @@ class TestAugmentPatch:
         img = rng.uniform(0.0, 1.0, (40, 40))
         maps = mscn_map(img, gaussian_window())
         patch = augment_patch(maps, img, (3, 5), 32)
-        assert np.all(patch.channels[0] >= 0) and np.all(patch.channels[0] <= 1)
-        assert np.all(patch.channels[1] >= 0) and np.all(patch.channels[1] <= 1)
-        assert np.all(patch.channels[2] >= 0)
+        assert np.all(patch[0] >= 0) and np.all(patch[0] <= 1)
+        assert np.all(patch[1] >= 0) and np.all(patch[1] <= 1)
+        assert np.all(patch[2] >= 0)

@@ -36,7 +36,7 @@ def make_map(values, **kwargs) -> ThresholdMap:
 def single_patch_threshold(maps, pixels, origin, params) -> float:
     """The per-patch reference: one batch-1 forward of the patch at origin."""
     patch = augment_patch(maps, pixels, origin, 32)
-    return _forward_batch(patch.channels[None], params, None).t[0]
+    return _forward_batch(patch[None], params, None).t[0]
 
 
 def assert_rel_close(got, want):
@@ -93,9 +93,9 @@ class TestPredictMap:
         for i, r in enumerate(rows):
             for j, c in enumerate(cols):
                 patch = augment_patch(maps, img.pixels, (r, c), 32)
-                trace = _forward_batch(patch.channels[None], trained_like_params, None)
+                trace = _forward_batch(patch[None], trained_like_params, None)
                 assert_rel_close(tmap.values[i, j], trace.t[0])
-                assert tmap.mean_luminance[i, j] == patch.channels[0].mean() * 255.0
+                assert tmap.mean_luminance[i, j] == patch[0].mean() * 255.0
 
     @pytest.mark.parametrize("shape", [(32, 32), (33, 100), (70, 90), (97, 130), (130, 97)])
     def test_every_cell_matches_per_patch_forward(self, shape, trained_like_params):

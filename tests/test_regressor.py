@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from visthresh.errors import DataError
-from visthresh.features import AugmentedPatch
 from visthresh.quality_model import T_MIN
 from visthresh.regressor import (
     CHECKPOINT_MAGIC,
@@ -21,9 +20,9 @@ from visthresh.regressor import (
 )
 
 
-def random_patch(seed=0) -> AugmentedPatch:
+def random_patch(seed=0) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    channels = np.stack(
+    return np.stack(
         [
             rng.uniform(0, 1, (32, 32)),
             rng.uniform(0, 1, (32, 32)),
@@ -31,7 +30,6 @@ def random_patch(seed=0) -> AugmentedPatch:
             rng.normal(0, 1, (32, 32)),
         ]
     )
-    return AugmentedPatch(origin=(0, 0), size=32, channels=channels)
 
 
 class TestInit:
@@ -60,7 +58,7 @@ class TestInit:
 
 class TestForward:
     def test_all_zero_network(self):
-        trace = forward(AugmentedPatch((0, 0), 32, np.zeros((4, 32, 32))), PNetParams())
+        trace = forward(np.zeros((4, 32, 32)), PNetParams())
         assert trace.z[0] == 0.0
         assert trace.threshold == pytest.approx(math.log(2.0) + T_MIN, abs=1e-15)
 
@@ -83,7 +81,7 @@ class TestForward:
     def test_eval_ignores_dropout_seed(self):
         patch, params = random_patch(5), init_params(5)
         t_eval = forward(patch, params).threshold
-        x = patch.channels[None]
+        x = patch[None]
         t_train1 = float(_forward_batch(x, params, dropout_mask(1)).t[0])
         t_train2 = float(_forward_batch(x, params, dropout_mask(2)).t[0])
         assert t_train1 != t_train2  # distinct masks do change the output

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from visthresh import training
+from visthresh import synthetic, training
 from visthresh.errors import DataError, NumericError
+from visthresh.features import augment_patch, gaussian_window, mscn_map
 from visthresh.image_io import GrayImage, QualityRecord
 from visthresh.regressor import PARAM_COUNT, PNetParams, init_params
 from visthresh.training import (
@@ -70,6 +72,41 @@ class TestBuildSamples:
         samples = build_samples([rec], TrainConfig(epochs=1))
         expected = float(np.mean(np.abs(rec.distorted.pixels - rec.reference.pixels)))
         assert samples[0].e == pytest.approx(expected, abs=1e-15)
+
+    def test_batch_rows_equal_augmented_patches(self):
+        # 70x90 at stride 7 puts border origins (row 38, col 58) off the grid
+        rng = np.random.default_rng(11)
+        ref = rng.uniform(0.2, 0.8, (70, 90))
+        dist = np.clip(ref + rng.uniform(-0.05, 0.05, ref.shape), 0.0, 1.0)
+        rec = QualityRecord(GrayImage(ref), GrayImage(dist), 0.5)
+        samples = build_samples([rec], TrainConfig(patch_stride=7, epochs=1))
+        origins = [(r, c) for r in patch_grid(70, 7) for c in patch_grid(90, 7)]
+        assert [s.origin for s in samples] == origins
+        assert (38, 58) in origins
+        maps = mscn_map(rec.distorted.pixels, gaussian_window())
+        batch = training._stack_patches(samples, range(len(samples)))
+        assert batch.shape == (len(samples), 4, 32, 32)
+        for row, s in zip(batch, samples):
+            want = augment_patch(maps, rec.distorted.pixels, s.origin, 32)
+            assert np.array_equal(row, want), s.origin
+
+    def test_samples_share_record_planes(self):
+        # 4 pairs of 512x512 at stride 8 are 14,884 samples; a 32 KiB patch
+        # copy per sample would need 465 MiB, the record planes need 32 MiB
+        records = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            ref = synthetic._texture(rng, 512)
+            dist = np.clip(ref + rng.uniform(-0.05, 0.05, ref.shape), 0.0, 1.0)
+            records.append(QualityRecord(GrayImage(ref), GrayImage(dist), 0.5))
+        tracemalloc.start()
+        try:
+            samples = build_samples(records, TrainConfig(patch_stride=8, epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 4 * 61 * 61
+        assert peak < 64 * 2**20, f"build_samples peak {peak / 2**20:.1f} MiB"
 
 
 class TestAdam:
