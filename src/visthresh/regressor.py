@@ -111,6 +111,7 @@ class ForwardTrace:
     cols1: np.ndarray        # conv1 im2col, (100, 28*28*B)
     pre1: np.ndarray         # (32, 28, 28, B)
     idx1: np.ndarray         # pool-1 argmax, (32, 14, 14, B)
+    pooled1: np.ndarray      # pool-1 output, conv2's input, (32, 14, 14, B)
     cols2: np.ndarray        # conv2 im2col, (800, 10*10*B)
     pre2: np.ndarray         # (32, 10, 10, B)
     idx2: np.ndarray         # pool-2 argmax, (32, 5, 5, B)
@@ -213,12 +214,14 @@ def _pool2(x):
     x01 = x[:, 0::2, 1::2]
     x10 = x[:, 1::2, 0::2]
     x11 = x[:, 1::2, 1::2]
-    itop = np.where(x00 >= x01, 0, 1).astype(np.int8)
+    # strict > keeps the first index on ties; the bool masks viewed as int8
+    # are the index bits, so no wider integer temporary is built
+    ltop = x01 > x00
+    lbot = x11 > x10
     vtop = np.maximum(x00, x01)
-    ibot = np.where(x10 >= x11, 2, 3).astype(np.int8)
     vbot = np.maximum(x10, x11)
-    top_wins = vtop >= vbot
-    return np.where(top_wins, vtop, vbot), np.where(top_wins, itop, ibot)
+    bot = vbot > vtop
+    return np.where(bot, vbot, vtop), np.where(bot, lbot.view(np.int8) + 2, ltop.view(np.int8))
 
 
 def _pool2_values(x):
@@ -256,19 +259,32 @@ def _head(flat: np.ndarray, params: PNetParams, masks: np.ndarray | None):
     return fc1_pre, dropped, z, t
 
 
+def _conv_block(x, w, b, ws=None, tag=""):
+    """conv -> relu -> 2x2 max-pool on batch-last x.
+
+    Returns (pre, cols, pooled, idx): the conv output, its im2col matrix,
+    the pooled output and the pool argmax.
+    """
+    pre, cols = _conv_valid(x, w, b, ws=ws, tag=tag)
+    pooled, idx = _pool2(np.maximum(pre, 0.0))
+    return pre, cols, pooled, idx
+
+
+def _flatten(pooled2: np.ndarray) -> np.ndarray:
+    """Batch-last (32, 5, 5, B) pool-2 output -> (B, 800) fc1 input rows."""
+    return pooled2.transpose(3, 0, 1, 2).reshape(pooled2.shape[-1], FLAT_SIZE)
+
+
 def _forward_batch(
     x: np.ndarray, params: PNetParams, masks: np.ndarray | None, ws: dict | None = None
 ) -> ForwardTrace:
-    batch = x.shape[0]
     xl = np.ascontiguousarray(x.transpose(1, 2, 3, 0))  # batch-last
-    pre1, cols1 = _conv_valid(xl, params.conv1_w, params.conv1_b, ws=ws, tag="c1.")
-    pooled1, idx1 = _pool2(np.maximum(pre1, 0.0))
-    pre2, cols2 = _conv_valid(pooled1, params.conv2_w, params.conv2_b, ws=ws, tag="c2.")
-    pooled2, idx2 = _pool2(np.maximum(pre2, 0.0))
-    flat = pooled2.transpose(3, 0, 1, 2).reshape(batch, FLAT_SIZE)
+    pre1, cols1, pooled1, idx1 = _conv_block(xl, params.conv1_w, params.conv1_b, ws, "c1.")
+    pre2, cols2, pooled2, idx2 = _conv_block(pooled1, params.conv2_w, params.conv2_b, ws, "c2.")
+    flat = _flatten(pooled2)
     fc1_pre, dropped, z, t = _head(flat, params, masks)
     return ForwardTrace(
-        cols1=cols1, pre1=pre1, idx1=idx1, cols2=cols2, pre2=pre2, idx2=idx2,
+        cols1=cols1, pre1=pre1, idx1=idx1, pooled1=pooled1, cols2=cols2, pre2=pre2, idx2=idx2,
         flat=flat, fc1_pre=fc1_pre, dropout_mask=masks, dropped=dropped, z=z, t=t,
     )
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,10 +33,15 @@ from .features import PATCH_SIZE, augment_patch, feature_planes, gaussian_window
 from .image_io import QualityRecord
 from .quality_model import grad_wrt_threshold_scale, mean_abs_error, predict_quality, sample_loss
 from .regressor import (
+    _OFFSETS,
     PARAM_COUNT,
+    ForwardTrace,
     PNetParams,
     _backward_batch,
+    _conv_block,
+    _flatten,
     _forward_batch,
+    _head,
     backward,
     dropout_mask,
     forward,
@@ -189,14 +194,15 @@ def _stack_patches(samples: list[TrainingSample], indices) -> np.ndarray:
 
 
 def predict_sample_thresholds(
-    samples: list[TrainingSample], params: PNetParams, indices=None
+    samples: list[TrainingSample], params: PNetParams, indices=None, ws: dict | None = None
 ) -> np.ndarray:
     """Eval-mode thresholds for the given samples (all of them by default)."""
     if indices is None:
         indices = range(len(samples))
     indices = list(indices)
     out = np.empty(len(indices))
-    ws: dict = {}
+    if ws is None:
+        ws = {}
     for start in range(0, len(indices), PREDICT_CHUNK):
         batch = indices[start : start + PREDICT_CHUNK]
         trace = _forward_batch(_stack_patches(samples, batch), params, None, ws=ws)
@@ -204,10 +210,10 @@ def predict_sample_thresholds(
     return out
 
 
-def _mean_holdout_loss(samples, indices, params, alpha) -> float | None:
+def _mean_holdout_loss(samples, indices, params, alpha, ws=None) -> float | None:
     if not indices:
         return None
-    thresholds = predict_sample_thresholds(samples, params, indices)
+    thresholds = predict_sample_thresholds(samples, params, indices, ws=ws)
     total = 0.0
     for t, i in zip(thresholds, indices):
         q_hat = predict_quality(samples[i].e, float(t), alpha).q_hat
@@ -259,19 +265,54 @@ def train(records: list[QualityRecord], cfg: TrainConfig) -> tuple[PNetParams, T
             epoch_loss += batch_loss
         report.train_loss.append(epoch_loss / len(order))
         report.holdout_loss.append(
-            _mean_holdout_loss(samples, holdout_idx, params, math.exp(params.a))
+            _mean_holdout_loss(samples, holdout_idx, params, math.exp(params.a), ws=ws)
         )
         report.epoch_seconds.append(time.perf_counter() - tic)
     report.final_alpha = math.exp(params.a)
     return params, report
 
 
-def _activation_pattern(trace, q_hat: float, q_target: float) -> tuple:
-    """Every branch the loss takes: ReLU masks, pool argmaxes, the L1 sign."""
-    return (
-        trace.pre1 > 0.0, trace.idx1, trace.pre2 > 0.0, trace.idx2,
-        trace.fc1_pre > 0.0, q_hat > q_target,
-    )
+def _activation_pattern(trace, q_hat: float, q_target: float, stage: int = 0) -> list:
+    """The branches the loss takes at network stage `stage` and after.
+
+    Stages are 0 conv1 block, 1 conv2 block, 2 fully connected head.  The
+    list runs back from the loss: the L1 sign, the fc1 ReLU mask, then each
+    conv block's ReLU mask and pool argmax down to `stage`, so a later
+    stage's pattern is a prefix of an earlier one's.
+    """
+    pattern = [q_hat > q_target, trace.fc1_pre > 0.0]
+    if stage < 2:
+        pattern += [trace.pre2 > 0.0, trace.idx2]
+    if stage < 1:
+        pattern += [trace.pre1 > 0.0, trace.idx1]
+    return pattern
+
+
+def _stage_of(index: int) -> int:
+    """The first network stage parameter `index` feeds (see _activation_pattern).
+
+    fc1, fc2 and the log-scale a count as the head; a feeds no stage.
+    """
+    return int(index >= _OFFSETS[2]) + int(index >= _OFFSETS[4])  # conv2_w, fc1_w start
+
+
+def _resume(base: ForwardTrace, patch: np.ndarray, params: PNetParams, stage: int) -> ForwardTrace:
+    """Eval-mode forward of patch under params, re-running stages `stage` on.
+
+    base is the eval-mode trace of the same patch under parameters that
+    differ from params only in blocks feeding stage `stage` or later; its
+    earlier stages are reused as they are.  Every stage runs the functions
+    forward runs, on the same arrays, so the result == forward(patch,
+    params) bit for bit.  Stage 0 is the full forward.
+    """
+    if stage == 0:
+        return forward(patch, params)
+    trace = base
+    if stage == 1:
+        pre2, cols2, pooled2, idx2 = _conv_block(base.pooled1, params.conv2_w, params.conv2_b)
+        trace = replace(base, pre2=pre2, cols2=cols2, idx2=idx2, flat=_flatten(pooled2))
+    fc1_pre, dropped, z, t = _head(trace.flat, params, None)
+    return replace(trace, fc1_pre=fc1_pre, dropped=dropped, z=z, t=t)
 
 
 def gradcheck(
@@ -297,6 +338,11 @@ def gradcheck(
     match, down to KINK_H_FLOOR; `refined` counts those coordinates.  A
     coordinate still straddling a kink at the floor keeps its estimate and
     fails the check.
+
+    The unperturbed forward runs once.  A difference re-runs only the
+    stages downstream of its coordinate's block (_resume): the full
+    forward for conv1, conv2 onwards for conv2, the fully connected head
+    for the rest; each loss == the full forward's.
     """
     if seed < 0:
         raise DataError(f"seed must be non-negative, got {seed}")
@@ -326,11 +372,12 @@ def gradcheck(
     q_hat = predict_quality(e, trace.threshold, alpha).q_hat
     base_pattern = _activation_pattern(trace, q_hat, q_target)
 
-    def loss_at() -> tuple[float, bool]:
-        """Loss at the current params, and whether it is on the base branch."""
-        trace = forward(patch, params)
-        q_hat = predict_quality(e, trace.threshold, math.exp(params.a)).q_hat
-        pattern = _activation_pattern(trace, q_hat, q_target)
+    def loss_at(stage: int) -> tuple[float, bool]:
+        """Loss at the current params, and whether the re-run stages take
+        the base branch (map stops at the shorter, re-run pattern)."""
+        resumed = _resume(trace, patch, params, stage)
+        q_hat = predict_quality(e, resumed.threshold, math.exp(params.a)).q_hat
+        pattern = _activation_pattern(resumed, q_hat, q_target, stage)
         return sample_loss(q_target, q_hat)[0], all(map(np.array_equal, pattern, base_pattern))
 
     coords = set(rng.choice(PARAM_COUNT, size=n_coords, replace=False).tolist())
@@ -341,11 +388,12 @@ def gradcheck(
     max_rel, refined, stable_all = 0.0, 0, True
     for c in sorted(coords):
         saved, step = vec[c], GRADCHECK_H
+        stage = _stage_of(c)
         while True:
             vec[c] = saved + step
-            loss_plus, stable_plus = loss_at()
+            loss_plus, stable_plus = loss_at(stage)
             vec[c] = saved - step
-            loss_minus, stable_minus = loss_at()
+            loss_minus, stable_minus = loss_at(stage)
             vec[c] = saved
             stable = stable_plus and stable_minus
             if stable or step <= KINK_H_FLOOR:

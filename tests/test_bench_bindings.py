@@ -35,9 +35,14 @@ def test_every_entry_point_is_bound_and_traced():
         report = training.gradcheck(seed=1, n_coords=2)
     assert report.passed
     spans = tracer.summary(lambda op: op == 0)
-    assert spans["regressor.forward"]["calls"] >= 2 * report.n_coords
+    # the base forward; differences of fc-side coordinates resume past it
+    assert spans["regressor.forward"]["calls"] >= 1
     assert spans["training.gradcheck"]["calls"] == 1
     assert tracing.absent_layers(tracer) == []
+    # a conv1 weight reruns the full forward for each of its differences
+    with tracer(1):
+        training.gradcheck(seed=1, n_coords=1, corrupt_index=0)
+    assert tracer.summary(lambda op: op == 1)["regressor.forward"]["calls"] >= 3
 
 
 def test_tiny_train_workload_passes_its_check(tmp_path):

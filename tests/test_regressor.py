@@ -10,6 +10,7 @@ from visthresh.regressor import (
     PARAM_COUNT,
     PNetParams,
     _forward_batch,
+    _pool2,
     backward,
     dropout_mask,
     forward,
@@ -102,6 +103,34 @@ class TestForward:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DataError, match="shape"):
             forward(np.zeros((3, 32, 32)), init_params(0))
+
+
+def pool2_where(x):
+    """The np.where formulation of the 2x2 max pool, kept as the oracle."""
+    x00, x01 = x[:, 0::2, 0::2], x[:, 0::2, 1::2]
+    x10, x11 = x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+    itop = np.where(x00 >= x01, 0, 1).astype(np.int8)
+    vtop = np.maximum(x00, x01)
+    ibot = np.where(x10 >= x11, 2, 3).astype(np.int8)
+    vbot = np.maximum(x10, x11)
+    top_wins = vtop >= vbot
+    return np.where(top_wins, vtop, vbot), np.where(top_wins, itop, ibot)
+
+
+class TestPool2:
+    def test_matches_where_oracle_with_ties(self):
+        rng = np.random.default_rng(5)
+        tied = rng.integers(-1, 2, (32, 28, 28, 3)).astype(np.float64)  # ties in most windows
+        tied[..., 0] = 0.0  # every window a four-way tie
+        tied[:5, :, :, 1] = -0.0  # signed-zero ties
+        smooth = rng.normal(size=(32, 10, 10, 4))
+        relu = np.maximum(smooth, 0.0)  # zero ties where a window is all negative
+        for x in (tied, smooth, relu):
+            values, idx = _pool2(x)
+            want_values, want_idx = pool2_where(x)
+            assert values.tobytes() == want_values.tobytes()
+            assert idx.dtype == want_idx.dtype
+            np.testing.assert_array_equal(idx, want_idx)
 
 
 class TestDropout:

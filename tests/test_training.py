@@ -8,7 +8,8 @@ from visthresh import synthetic, training
 from visthresh.errors import DataError, NumericError
 from visthresh.features import augment_patch, gaussian_window, mscn_map
 from visthresh.image_io import GrayImage, QualityRecord
-from visthresh.regressor import PARAM_COUNT, PNetParams, init_params
+from visthresh.quality_model import predict_quality
+from visthresh.regressor import _OFFSETS, _SHAPES, PARAM_COUNT, PNetParams, backward, forward, init_params
 from visthresh.training import (
     AdamState,
     TrainConfig,
@@ -250,6 +251,62 @@ class TestGradCheck:
         report = gradcheck(seed=101010, tolerance=1.0)
         assert report.max_rel_error < 1.0
         assert not report.passed and report.refined == 0
+
+
+def branch_pattern(trace, e, a, q_target, stage=0):
+    q_hat = predict_quality(e, trace.threshold, math.exp(a)).q_hat
+    return training._activation_pattern(trace, q_hat, q_target, stage)
+
+
+class TestResume:
+    @pytest.mark.parametrize("block", range(len(_SHAPES)), ids=[name for name, _ in _SHAPES])
+    def test_resumed_forward_equals_full_forward(self, block):
+        rng = np.random.default_rng(3)
+        patch = np.stack([rng.uniform(0, 1, (32, 32)) for _ in range(3)] + [rng.normal(0, 1, (32, 32))])
+        params = init_params(3)
+        params.a = 0.2
+        e = 0.05
+        base = forward(patch, params)
+        # a target just above the base quality, so a large enough step of
+        # any block flips the L1 sign
+        q_target = predict_quality(e, base.threshold, math.exp(params.a)).q_hat + 1e-3
+        base_pattern = branch_pattern(base, e, params.a, q_target)
+        # the block's coordinate with the largest threshold gradient (a has none)
+        grads = backward(base, params, 1.0).vec[_OFFSETS[block] : _OFFSETS[block + 1]]
+        c = _OFFSETS[block] + int(np.argmax(np.abs(grads)))
+        stage = training._stage_of(c)
+        saved, sign_flips, relu_flips = params.vec[c], 0, 0
+        for step in [sign * 10.0**k for k in range(-6, 3) for sign in (1, -1)]:
+            params.vec[c] = saved + step
+            full = forward(patch, params)
+            resumed = training._resume(base, patch, params, stage)
+            assert resumed.threshold == full.threshold, step
+            full_pattern = branch_pattern(full, e, params.a, q_target)
+            stable = all(map(np.array_equal, full_pattern, base_pattern))
+            resumed_pattern = branch_pattern(resumed, e, params.a, q_target, stage)
+            assert all(map(np.array_equal, resumed_pattern, base_pattern)) == stable, step
+            sign_flips += full_pattern[0] != base_pattern[0]
+            relu_flips += not all(map(np.array_equal, full_pattern[1:], base_pattern[1:]))
+        params.vec[c] = saved
+        assert sign_flips > 0
+        # conv and fc1 blocks feed a ReLU; fc2 and a feed only the L1 sign
+        assert (relu_flips > 0) == (_SHAPES[block][0] not in ("fc2_w", "fc2_b", "a"))
+
+    def test_reports_equal_full_forward_reference(self, monkeypatch):
+        # corrupted coordinates in conv1, conv2, fc1, the log-scale a and
+        # the pool-kink coordinate of seed 8018
+        cases = [
+            (0, None), (1, 0), (2, None), (3, 3300), (4, None), (5, 60000),
+            (8018, None), (8018, 13586), (101010, None), (101019, PARAM_COUNT - 1),
+        ]
+        resumed = [gradcheck(seed=seed, corrupt_index=index) for seed, index in cases]
+        # the reference: every difference a full forward with a full-pattern compare
+        pattern = training._activation_pattern
+        monkeypatch.setattr(training, "_resume", lambda base, patch, params, stage: forward(patch, params))
+        monkeypatch.setattr(
+            training, "_activation_pattern", lambda trace, q_hat, q_target, stage=0: pattern(trace, q_hat, q_target)
+        )
+        assert resumed == [gradcheck(seed=seed, corrupt_index=index) for seed, index in cases]
 
 
 class TestConfigValidation:
