@@ -10,6 +10,7 @@ score onto [0, 1] with 0 = imperceptible distortion.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -146,15 +147,24 @@ def save_pgm(img: GrayImage, path) -> None:
     Path(path).write_bytes(header + quantized.tobytes())
 
 
+def _nul_free_lines(fh, path: Path):
+    """The file's lines, rejecting a NUL byte before the csv module sees it
+    (Python 3.10's reader raises on one, later ones accept it)."""
+    for lineno, line in enumerate(fh, 1):
+        if "\0" in line:
+            raise DataError(f"{path}:{lineno}: NUL byte")
+        yield line
+
+
 def read_csv_rows(path: Path) -> list[tuple[int, list[str]]]:
-    """(line number, row) pairs of a UTF-8 CSV file.
+    """(line number, row) pairs of a UTF-8 CSV file without NUL bytes.
 
     Blank lines and lines starting with '#' are skipped; the line number is
     the file's own, so error messages can name it.
     """
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(_nul_free_lines(fh, path))
             return [
                 (reader.line_num, row)
                 for row in reader
@@ -186,8 +196,6 @@ def load_manifest(path) -> list[ManifestRecord]:
         if len(row) != len(MANIFEST_HEADER):
             raise DataError(f"{path}:{lineno}: expected {len(MANIFEST_HEADER)} columns, got {len(row)}")
         ref, dist, raw, lo, hi, polarity = (cell.strip() for cell in row)
-        if "\0" in ref + dist:
-            raise DataError(f"{path}:{lineno}: NUL byte in an image path")
         try:
             raw_f, lo_f, hi_f = float(raw), float(lo), float(hi)
         except ValueError:
@@ -212,11 +220,16 @@ def normalize_score(rec: ManifestRecord) -> float:
 
 
 def load_quality_records(manifest_path) -> list[QualityRecord]:
-    """Load every manifest row into memory with its normalized quality target."""
+    """Load every manifest row into memory with its normalized quality target.
+
+    Each distinct image path is read once; the records that name it share
+    one (read-only) GrayImage.
+    """
+    load = functools.cache(load_pgm)
     return [
         QualityRecord(
-            reference=load_pgm(rec.reference_path),
-            distorted=load_pgm(rec.distorted_path),
+            reference=load(rec.reference_path),
+            distorted=load(rec.distorted_path),
             q_global=normalize_score(rec),
         )
         for rec in load_manifest(manifest_path)

@@ -10,9 +10,11 @@ multiple of 4 share every convolution output, so the map is not built
 from one forward per cell.  The grid origins are split by phase
 (row mod 4, col mod 4), and for each phase that occurs the conv stack runs
 over tiles of TILE_CELLS x TILE_CELLS lattice cells of that phase
-(regressor.lattice_thresholds).  Tiles are anchored at absolute lattice
-positions and always cover every lattice cell in their range, so a cell's
-value does not depend on the stride, and a tile bounds the working memory
+(regressor.lattice_thresholds); the fc head runs only on the tile's
+lattice rows that hold a grid origin, on every cell of such a row.  Tiles
+are anchored at absolute lattice positions and always cover every lattice
+cell in their range, so every GEMM's shape, and with it a cell's value,
+does not depend on the stride, and a tile bounds the working memory
 whatever the image size.  A cell equals the single-patch forward to within
 1e-12 relative (the convolutions sum in another order); repeated runs are
 bit-identical.
@@ -39,7 +41,10 @@ from .quality_model import T_MIN
 from .regressor import PNetParams, _forward_batch, lattice_thresholds, params_digest
 
 LATTICE = 4  # origin spacing at which patches share conv outputs (two 2x2 pools)
-TILE_CELLS = 8  # lattice cells per tile side: 60x60-pixel tiles, a 2.5 MB conv1 im2col
+# lattice cells per tile side: 124x124-pixel tiles, so the 28-pixel halo
+# each tile recomputes is a small share of it; conv1 runs in row strips
+# (regressor._pooled_map), so a tile pass peaks under 4 MB
+TILE_CELLS = 24
 
 
 @dataclass(eq=False)
@@ -109,8 +114,8 @@ def predict_map(img: GrayImage, params: PNetParams, stride: int) -> ThresholdMap
     for top, bottom, grid_rows, tile_rows in _tiles(rows, arr.shape[0]):
         for left, right, grid_cols, tile_cols in _tiles(cols, arr.shape[1]):
             tile = np.stack([plane[top:bottom, left:right] for plane in planes])
-            cells = lattice_thresholds(tile, params)
-            values[np.ix_(grid_rows, grid_cols)] = cells[np.ix_(tile_rows, tile_cols)]
+            cells = lattice_thresholds(tile, params, tile_rows)
+            values[np.ix_(grid_rows, grid_cols)] = cells[:, tile_cols]
     windows = np.lib.stride_tricks.sliding_window_view(arr, (PATCH_SIZE, PATCH_SIZE))
     # a contiguous (cols, 32, 32) copy per row sums each patch in the same
     # order as the mean of its augment_patch luminance plane

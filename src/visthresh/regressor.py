@@ -40,6 +40,7 @@ KERNEL_SIZE = 5
 FC1_NODES = 100
 FLAT_SIZE = CONV2_FILTERS * 5 * 5  # 800 after the second pool
 DROPOUT_RATE = 0.5
+STRIP_ROWS = 8  # conv1 output rows per im2col strip of a whole-image pass
 
 CHECKPOINT_MAGIC = b"VTH1"
 _ARCH = (PATCH_SIZE, IN_CHANNELS, CONV1_FILTERS, CONV2_FILTERS, KERNEL_SIZE, FC1_NODES)
@@ -181,8 +182,9 @@ def _conv_valid(x, w, b, ws=None, tag=""):
         for v in range(k):
             cols[:, u, v] = x3[:, u : u + oh, v * batch : (v + ow) * batch]
     cols = cols.reshape(c * k * k, oh * ow * batch)
-    out = (w.reshape(f, -1) @ cols + b[:, None]).reshape(f, oh, ow, batch)
-    return out, cols
+    out = w.reshape(f, -1) @ cols
+    out += b[:, None]
+    return out.reshape(f, oh, ow, batch), cols
 
 
 def _conv_backward(delta, cols, w, x_shape, need_dx=True, ws=None, tag=""):
@@ -224,10 +226,10 @@ def _pool2(x):
     return np.where(bot, vbot, vtop), np.where(bot, lbot.view(np.int8) + 2, ltop.view(np.int8))
 
 
-def _pool2_values(x):
+def _pool2_values(x, out=None):
     """Values of _pool2 without the argmax, for eval-only passes."""
     top = np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
-    return np.maximum(top, np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
+    return np.maximum(top, np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]), out=out)
 
 
 def _pool2_backward(dpool, idx, x_shape):
@@ -368,31 +370,48 @@ def _conv_shifted(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _pooled_map(x: np.ndarray, params: PNetParams) -> np.ndarray:
     """Eval-mode conv stack over a whole (4, H, W) feature image.
 
-    Pooling then relu gives the same values as relu then pooling, on a
-    quarter of the elements.  With H = 4m + 28 and W = 4n + 28 the result
-    is (32, m + 4, n + 4), and its 5x5 window at (i, j) is the pool-2
-    output of the 32x32 patch at pixel (4i, 4j): both pools pair the same
-    rows and columns as they do inside that patch.
+    conv1 runs in strips of STRIP_ROWS output rows, each one im2col GEMM
+    whose 2x2 pool is written straight into pooled1, so no im2col or conv1
+    output of the whole image is ever held.  Pooling then relu gives the
+    same values as relu then pooling, on a quarter of the elements.  With
+    H = 4m + 28 and W = 4n + 28 the result is (32, m + 4, n + 4), and its
+    5x5 window at (i, j) is the pool-2 output of the 32x32 patch at pixel
+    (4i, 4j): both pools pair the same rows and columns as they do inside
+    that patch.
     """
-    pre1, _ = _conv_valid(x[..., None], params.conv1_w, params.conv1_b)
-    pooled1 = np.maximum(_pool2_values(pre1[..., 0]), 0.0)
+    k = KERNEL_SIZE
+    oh, ow = x.shape[1] - k + 1, x.shape[2] - k + 1
+    pooled1 = np.empty((CONV1_FILTERS, oh // 2, ow // 2))
+    for top in range(0, oh, STRIP_ROWS):
+        bottom = min(top + STRIP_ROWS, oh)
+        pre1, _ = _conv_valid(x[:, top : bottom + k - 1, :, None], params.conv1_w, params.conv1_b)
+        _pool2_values(pre1[..., 0], out=pooled1[:, top // 2 : bottom // 2])
+    np.maximum(pooled1, 0.0, out=pooled1)
     pre2 = _conv_shifted(pooled1, params.conv2_w, params.conv2_b)
     return np.maximum(_pool2_values(pre2), 0.0)
 
 
-def lattice_thresholds(x: np.ndarray, params: PNetParams) -> np.ndarray:
-    """Eval-mode thresholds of every patch of x whose origin is a multiple of 4.
+def lattice_thresholds(x: np.ndarray, params: PNetParams, rows=None) -> np.ndarray:
+    """Eval-mode thresholds of the patches of x whose origin is a multiple of 4.
 
     x is a (4, 4m + 28, 4n + 28) feature image; cell (i, j) of the (m, n)
-    result is the threshold of the patch at pixel (4i, 4j).  It equals the
-    single-patch forward to about 1e-15 relative: the convolutions sum in
-    another order, every other operation is the same.
+    lattice is the threshold of the patch at pixel (4i, 4j).  rows (default
+    all m) picks the lattice rows returned, in that order.  The head runs
+    once per row on all n cells of it, so every GEMM's shape is fixed by
+    the shape of x and a cell's bits do not depend on which rows are asked
+    for.  A cell equals the single-patch forward to about 1e-15 relative:
+    the convolutions sum in another order, every other operation is the
+    same.
     """
     pooled = _pooled_map(x, params)
     windows = np.lib.stride_tricks.sliding_window_view(pooled, (5, 5), axis=(1, 2))
     m, n = windows.shape[1:3]
-    flat = windows.transpose(1, 2, 0, 3, 4).reshape(m * n, FLAT_SIZE)
-    return _head(flat, params, None)[3].reshape(m, n)
+    rows = range(m) if rows is None else rows
+    out = np.empty((len(rows), n))
+    for k, i in enumerate(rows):
+        flat = windows[:, i].transpose(1, 0, 2, 3).reshape(n, FLAT_SIZE)
+        out[k] = _head(flat, params, None)[3]
+    return out
 
 
 def params_digest(params: PNetParams) -> str:

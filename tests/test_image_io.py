@@ -1,8 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from visthresh import image_io
 from visthresh.errors import DataError
+from visthresh.evaluation import load_groundtruth
 from visthresh.image_io import (
     GrayImage,
     ManifestRecord,
@@ -14,6 +18,7 @@ from visthresh.image_io import (
     save_pgm,
     write_manifest,
 )
+from visthresh.synthetic import load_oracle
 
 from conftest import make_image, write_pgm_bytes
 
@@ -146,6 +151,34 @@ class TestManifest:
         with pytest.raises(DataError, match=r"m.csv:2: NUL byte"):
             load_manifest(tmp_path / "m.csv")
 
+    @pytest.mark.parametrize(
+        "loader, text",
+        [
+            (load_manifest, f"{MANIFEST_HEADER}\na,\0b,0.5,0,1,higher_is_worse\n"),
+            (load_groundtruth, "row,col,threshold_db\n0,0,\0\n"),
+            (load_oracle, "patch_id,t_star\n\0p,0.5\n"),
+        ],
+        ids=["manifest", "groundtruth", "oracle"],
+    )
+    def test_nul_rejected_before_a_py310_csv_reader(self, tmp_path, monkeypatch, loader, text):
+        # Python 3.10's csv.reader raises csv.Error on a NUL; every CSV
+        # loader must name the line itself before the reader sees it
+        real_reader = csv.reader
+
+        def py310_reader(lines, *args, **kwargs):
+            def checked(lines):
+                for line in lines:
+                    if "\0" in line:
+                        raise csv.Error("line contains NUL")
+                    yield line
+
+            return real_reader(checked(lines), *args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", py310_reader)
+        (tmp_path / "m.csv").write_text(text)
+        with pytest.raises(DataError, match=r"m.csv:2: NUL byte"):
+            loader(tmp_path / "m.csv")
+
     def test_error_names_file_line_after_blank_and_comment(self, tmp_path):
         (tmp_path / "m.csv").write_text(
             f"{MANIFEST_HEADER}\n\n# comment\na,b,xx,0,1,higher_is_worse\n"
@@ -219,3 +252,29 @@ class TestQualityRecord:
         records = load_quality_records(tmp_path / "m.csv")
         assert len(records) == 1
         assert records[0].q_global == pytest.approx(0.4)
+
+    def test_each_image_path_loaded_once(self, tmp_path, monkeypatch):
+        write_pgm_bytes(tmp_path / "r.pgm", 2, 2, [10, 20, 30, 40])
+        write_pgm_bytes(tmp_path / "d1.pgm", 2, 2, [12, 22, 28, 40])
+        write_pgm_bytes(tmp_path / "d2.pgm", 2, 2, [9, 25, 31, 44])
+        (tmp_path / "m.csv").write_text(
+            f"{MANIFEST_HEADER}\n"
+            "r.pgm,d1.pgm,40.0,0,100,higher_is_worse\n"
+            "r.pgm,d2.pgm,60.0,0,100,higher_is_worse\n"
+            "r.pgm,d1.pgm,50.0,0,100,higher_is_worse\n"
+        )
+        loaded = []
+        real_load_pgm = image_io.load_pgm
+
+        def counting_load_pgm(path):
+            loaded.append(path)
+            return real_load_pgm(path)
+
+        monkeypatch.setattr(image_io, "load_pgm", counting_load_pgm)
+        records = load_quality_records(tmp_path / "m.csv")
+        assert sorted(p.name for p in loaded) == ["d1.pgm", "d2.pgm", "r.pgm"]
+        assert records[0].reference is records[1].reference is records[2].reference
+        assert records[0].distorted is records[2].distorted
+        assert records[1].distorted is not records[0].distorted
+        assert records[1].distorted.pixels.tolist() == [[9 / 255, 25 / 255], [31 / 255, 44 / 255]]
+        assert [r.q_global for r in records] == pytest.approx([0.4, 0.6, 0.5])

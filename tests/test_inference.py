@@ -9,6 +9,8 @@ from visthresh.errors import DataError
 from visthresh.features import augment_patch, gaussian_window, mscn_map, patch_grid
 from visthresh.image_io import GrayImage
 from visthresh.inference import (
+    LATTICE,
+    TILE_CELLS,
     ThresholdMap,
     _bin_edges,
     decimate_map,
@@ -17,7 +19,7 @@ from visthresh.inference import (
     normalize_map,
     predict_map,
 )
-from visthresh.regressor import _forward_batch, init_params, params_digest
+from visthresh.regressor import _forward_batch, init_params, lattice_thresholds, params_digest
 
 
 def make_map(values, **kwargs) -> ThresholdMap:
@@ -116,6 +118,35 @@ class TestPredictMap:
                         )
                     assert_rel_close(tmap.values[i, j], reference[r, c])
 
+    @pytest.mark.parametrize("stride", [4, 13, 16])
+    def test_every_cell_matches_per_patch_forward_across_tiles(self, stride, trained_like_params):
+        # 260x190 holds 58x40 lattice cells: 3x2 tiles of TILE_CELLS, the
+        # last ones partial, and strides 13 and 16 add border phases
+        shape = (260, 190)
+        assert (shape[0] - 32) // 4 + 1 > 2 * TILE_CELLS and (shape[1] - 32) // 4 + 1 > TILE_CELLS
+        img = GrayImage(np.random.default_rng(shape).uniform(0.1, 0.9, shape))
+        maps = mscn_map(img.pixels, gaussian_window())
+        tmap = predict_map(img, trained_like_params, stride)
+        rows, cols = patch_grid(shape[0], stride), patch_grid(shape[1], stride)
+        assert tmap.values.shape == (len(rows), len(cols))
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                want = single_patch_threshold(maps, img.pixels, (r, c), trained_like_params)
+                assert_rel_close(tmap.values[i, j], want)
+
+    def test_multi_tile_stride_subgrids_bit_identical(self, trained_like_params):
+        # each coarser grid's origins, border origins included, are a subset
+        # of the finer grid's, and the cells they share are equal bit for bit
+        shape = (300, 260)
+        img = GrayImage(np.random.default_rng(11).uniform(0.1, 0.9, shape))
+        maps = {s: predict_map(img, trained_like_params, s) for s in (4, 8, 16)}
+        for fine, coarse in ((4, 8), (8, 16)):
+            pick = [
+                [patch_grid(length, fine).index(o) for o in patch_grid(length, coarse)]
+                for length in shape
+            ]
+            np.testing.assert_array_equal(maps[fine].values[np.ix_(*pick)], maps[coarse].values)
+
     def test_traced_peak_memory_bounded(self, trained_like_params):
         # tiles bound the working set; a whole-image im2col would need > 200 MB
         img = GrayImage(np.random.default_rng(5).uniform(0.1, 0.9, (512, 512)))
@@ -126,6 +157,18 @@ class TestPredictMap:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_tile_pass_traced_peak_bounded(self, trained_like_params):
+        # conv1 runs in row strips: a whole-tile im2col alone would be 11 MiB
+        side = LATTICE * TILE_CELLS + 28
+        tile = np.random.default_rng(6).standard_normal((4, side, side))
+        tracemalloc.start()
+        try:
+            lattice_thresholds(tile, trained_like_params, range(TILE_CELLS))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_stride_subgrid_consistency(self, test_image, trained_like_params):
         fine = predict_map(test_image, trained_like_params, stride=16)
@@ -144,6 +187,17 @@ class TestPredictMap:
     def test_bad_stride(self, test_image, trained_like_params):
         with pytest.raises(DataError, match="stride"):
             predict_map(test_image, trained_like_params, stride=0)
+
+
+class TestLatticeThresholds:
+    def test_requested_rows_equal_all_rows_bit_for_bit(self, trained_like_params):
+        # 13x7 lattice cells; rows out of order and repeated
+        x = np.random.default_rng(8).standard_normal((4, 4 * 13 + 28, 4 * 7 + 28))
+        every = lattice_thresholds(x, trained_like_params)
+        assert every.shape == (13, 7)
+        rows = [12, 0, 5, 5, 9]
+        np.testing.assert_array_equal(lattice_thresholds(x, trained_like_params, rows), every[rows])
+        assert lattice_thresholds(x, trained_like_params, []).shape == (0, 7)
 
 
 class TestDecimateMap:
