@@ -192,10 +192,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built by the first run() and shared by every later one in the process:
+# nothing changes it once built, and parse_args returns a fresh Namespace,
+# so one call's flags never reach the next
+_parser: _Parser | None = None
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

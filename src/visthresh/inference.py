@@ -10,7 +10,8 @@ multiple of 4 share every convolution output, so the map is not built
 from one forward per cell.  The grid origins are split by phase
 (row mod 4, col mod 4), and for each phase that occurs the conv stack runs
 over tiles of TILE_CELLS x TILE_CELLS lattice cells of that phase
-(regressor.lattice_thresholds); the fc head runs only on the tile's
+(regressor.lattice_thresholds), the last tile of an axis taking one cell
+more instead of leaving a one-cell tile; the fc head runs only on the tile's
 lattice rows that hold a grid origin, on every cell of such a row.  Tiles
 are anchored at absolute lattice positions and always cover every lattice
 cell in their range, so every GEMM's shape, and with it a cell's value,
@@ -43,7 +44,8 @@ from .regressor import PNetParams, _forward_batch, lattice_thresholds, params_di
 LATTICE = 4  # origin spacing at which patches share conv outputs (two 2x2 pools)
 # lattice cells per tile side: 124x124-pixel tiles, so the 28-pixel halo
 # each tile recomputes is a small share of it; conv1 runs in row strips
-# (regressor._pooled_map), so a tile pass peaks under 4 MB
+# (regressor._pooled_map), so a tile pass peaks under 4 MB.  The last tile
+# of an axis may hold TILE_CELLS + 1 cells (128 pixels), see _tiles.
 TILE_CELLS = 24
 
 
@@ -74,21 +76,33 @@ class ThresholdMap:
         return self.values.shape[1]
 
 
+def _lattice_cells(length: int, phase: int) -> int:
+    """Patch origins of one phase that fit on an axis of length pixels."""
+    return (length - PATCH_SIZE - phase) // LATTICE + 1
+
+
 def _tiles(origins: list[int], length: int) -> list[tuple[int, int, list[int], list[int]]]:
     """Group one axis's grid origins into lattice tiles.
 
     Returns (first pixel, end pixel, grid indices, cells within the tile)
     per tile that holds at least one origin.  An origin's tile is fixed by
-    its phase and its absolute lattice position alone.
+    its phase, its absolute lattice position and the axis length alone.
+    When the phase's last tile would hold a single cell, the tile before it
+    takes that cell (TILE_CELLS + 1 cells): a one-cell tile pass, all halo,
+    costs about a quarter of a full one.
     """
     members: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for k, origin in enumerate(origins):
         phase, cell = origin % LATTICE, origin // LATTICE
         first = cell - cell % TILE_CELLS
+        if first and first == _lattice_cells(length, phase) - 1:
+            first -= TILE_CELLS
         members.setdefault((phase, first), []).append((k, cell - first))
     tiles = []
     for (phase, first), pairs in sorted(members.items()):
-        n_cells = min(TILE_CELLS, (length - PATCH_SIZE - phase) // LATTICE + 1 - first)
+        n_cells = _lattice_cells(length, phase) - first
+        if n_cells > TILE_CELLS + 1:  # not the phase's last tile
+            n_cells = TILE_CELLS
         start = phase + LATTICE * first
         grid_idx, tile_idx = zip(*pairs)
         tiles.append((start, start + LATTICE * (n_cells - 1) + PATCH_SIZE,
@@ -208,7 +222,7 @@ def load_map(prefix) -> ThresholdMap:
         raise DataError(f"missing exported map files {csv_path} / {json_path}")
     try:
         lines = csv_path.read_text().strip().splitlines()
-        values = np.array([[float(v) for v in line.split(",")] for line in lines])
+        values = np.array([list(map(float, line.split(","))) for line in lines])
     except ValueError as exc:
         raise DataError(f"{csv_path}: malformed map values ({exc})") from None
     try:

@@ -165,26 +165,39 @@ def _ws_buffer(ws: dict | None, key: str, shape: tuple) -> np.ndarray:
     return buf
 
 
-def _conv_valid(x, w, b, ws=None, tag=""):
-    """Valid stride-1 convolution on batch-last input (C, H, W, B).
+def _im2col(x, k, ws=None, tag=""):
+    """im2col matrix (C*K*K, OH*OW*B) of batch-last input (C, H, W, B).
 
-    Returns (out, cols) with out (F, OH, OW, B) and the im2col matrix cols
-    (C*K*K, OH*OW*B) cached for the backward pass.  The (c, u, v) row
-    order of cols matches the C-order ravel of the (F, C, K, K) filters;
-    each kernel-offset copy spans OW*B contiguous values at a time.
+    The (c, u, v) row order matches the C-order ravel of (F, C, K, K)
+    filters; each kernel-offset copy spans OW*B contiguous values at a time.
     """
     c, h, w_, batch = x.shape
-    f, _, k, _ = w.shape
     oh, ow = h - k + 1, w_ - k + 1
     x3 = x.reshape(c, h, w_ * batch)
     cols = _ws_buffer(ws, tag + "cols", (c, k, k, oh, ow * batch))
     for u in range(k):
         for v in range(k):
             cols[:, u, v] = x3[:, u : u + oh, v * batch : (v + ow) * batch]
-    cols = cols.reshape(c * k * k, oh * ow * batch)
-    out = w.reshape(f, -1) @ cols
+    return cols.reshape(c * k * k, oh * ow * batch)
+
+
+def _conv_gemm(cols, w, b, out_shape):
+    """The convolution of an _im2col matrix: (F, OH, OW, B) for out_shape (OH, OW, B)."""
+    out = w.reshape(w.shape[0], -1) @ cols
     out += b[:, None]
-    return out.reshape(f, oh, ow, batch), cols
+    return out.reshape(w.shape[0], *out_shape)
+
+
+def _conv_valid(x, w, b, ws=None, tag=""):
+    """Valid stride-1 convolution on batch-last input (C, H, W, B).
+
+    Returns (out, cols) with out (F, OH, OW, B) and the im2col matrix cols
+    (C*K*K, OH*OW*B) cached for the backward pass.
+    """
+    _, h, w_, batch = x.shape
+    k = w.shape[-1]
+    cols = _im2col(x, k, ws, tag)
+    return _conv_gemm(cols, w, b, (h - k + 1, w_ - k + 1, batch)), cols
 
 
 def _conv_backward(delta, cols, w, x_shape, need_dx=True, ws=None, tag=""):
@@ -261,6 +274,11 @@ def _head(flat: np.ndarray, params: PNetParams, masks: np.ndarray | None):
     return fc1_pre, dropped, z, t
 
 
+def _relu_pool(pre):
+    """relu -> 2x2 max-pool of a conv output: (pooled, idx) as _pool2 returns."""
+    return _pool2(np.maximum(pre, 0.0))
+
+
 def _conv_block(x, w, b, ws=None, tag=""):
     """conv -> relu -> 2x2 max-pool on batch-last x.
 
@@ -268,8 +286,7 @@ def _conv_block(x, w, b, ws=None, tag=""):
     the pooled output and the pool argmax.
     """
     pre, cols = _conv_valid(x, w, b, ws=ws, tag=tag)
-    pooled, idx = _pool2(np.maximum(pre, 0.0))
-    return pre, cols, pooled, idx
+    return (pre, cols, *_relu_pool(pre))
 
 
 def _flatten(pooled2: np.ndarray) -> np.ndarray:

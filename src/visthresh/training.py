@@ -38,10 +38,11 @@ from .regressor import (
     ForwardTrace,
     PNetParams,
     _backward_batch,
-    _conv_block,
+    _conv_gemm,
     _flatten,
     _forward_batch,
     _head,
+    _relu_pool,
     backward,
     dropout_mask,
     forward,
@@ -309,8 +310,10 @@ def _resume(base: ForwardTrace, patch: np.ndarray, params: PNetParams, stage: in
         return forward(patch, params)
     trace = base
     if stage == 1:
-        pre2, cols2, pooled2, idx2 = _conv_block(base.pooled1, params.conv2_w, params.conv2_b)
-        trace = replace(base, pre2=pre2, cols2=cols2, idx2=idx2, flat=_flatten(pooled2))
+        # conv2's input is unchanged, so base.cols2 is its im2col as is
+        pre2 = _conv_gemm(base.cols2, params.conv2_w, params.conv2_b, base.pre2.shape[1:])
+        pooled2, idx2 = _relu_pool(pre2)
+        trace = replace(base, pre2=pre2, idx2=idx2, flat=_flatten(pooled2))
     fc1_pre, dropped, z, t = _head(trace.flat, params, None)
     return replace(trace, fc1_pre=fc1_pre, dropped=dropped, z=z, t=t)
 
@@ -341,8 +344,8 @@ def gradcheck(
 
     The unperturbed forward runs once.  A difference re-runs only the
     stages downstream of its coordinate's block (_resume): the full
-    forward for conv1, conv2 onwards for conv2, the fully connected head
-    for the rest; each loss == the full forward's.
+    forward for conv1, conv2's GEMM on the base im2col onwards for conv2,
+    the fully connected head for the rest; each loss == the full forward's.
     """
     if seed < 0:
         raise DataError(f"seed must be non-negative, got {seed}")

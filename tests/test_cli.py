@@ -5,6 +5,7 @@ import pytest
 
 import visthresh.cli as cli
 from visthresh.cli import run
+from visthresh.evaluation import DEFAULT_LUMINANCE_BAND
 from visthresh.image_io import load_pgm, save_pgm, GrayImage
 from visthresh.training import GradCheckReport
 
@@ -91,6 +92,15 @@ class TestPredict:
         assert (tmp_path / "map.json").exists()
         rendered = load_pgm(tmp_path / "map.pgm")
         assert rendered.width == 3 and rendered.height == 3
+
+    def test_pgm_flag_not_carried_into_the_next_run(self, tiny_checkpoint, tmp_path):
+        img_path = tmp_path / "input.pgm"
+        save_pgm(GrayImage(np.random.default_rng(0).uniform(0.1, 0.9, (64, 64))), img_path)
+        base = ["predict", "--model", str(tiny_checkpoint), "--image", str(img_path)]
+        assert run(base + ["--out", str(tmp_path / "a"), "--pgm"]) == 0
+        assert run(base + ["--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a.pgm").exists()
+        assert (tmp_path / "b.csv").exists() and not (tmp_path / "b.pgm").exists()
 
     def test_undersized_image_is_data_error(self, tiny_checkpoint, tmp_path):
         img_path = tmp_path / "small.pgm"
@@ -189,6 +199,16 @@ class TestEvaluate:
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_default_band_after_an_explicit_band(self, prediction, tmp_path):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("row,col,threshold_db\n0,0,-20\n0,1,-18\n1,0,-17\n1,1,-15\n")
+        base = ["evaluate", "--pred", str(prediction), "--gt", str(gt)]
+        assert run(base + ["--band", "0,255", "--out", str(tmp_path / "wide.json")]) == 0
+        assert run(base + ["--out", str(tmp_path / "default.json")]) == 0
+        assert json.loads((tmp_path / "wide.json").read_text())["band"] == [0.0, 255.0]
+        default = json.loads((tmp_path / "default.json").read_text())["band"]
+        assert default == list(DEFAULT_LUMINANCE_BAND)
+
     def test_bad_band_is_usage_error(self, prediction, tmp_path):
         code = run(["evaluate", "--pred", str(prediction), "--gt", str(tmp_path / "gt.csv"),
                     "--band", "nope", "--out", str(tmp_path / "r.json")])
@@ -248,3 +268,28 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "synth" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        built, build = [], cli.build_parser
+
+        def counting_build_parser():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        assert run(["synth"]) == 1
+        assert run(["--help"]) == 0
+        assert run(["gradcheck", "--bogus"]) == 1
+        assert len(built) == 1 and cli._parser is built[0]
+
+    def test_usage_error_then_help_then_valid_call(self, capsys):
+        assert run(["gradcheck", "--seed", "x"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert run(["--help"]) == 0
+        assert "gradcheck" in capsys.readouterr().out
+        assert run(["gradcheck", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "max relative error" in out and "0 refined" in out and "pass" in out

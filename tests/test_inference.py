@@ -13,6 +13,7 @@ from visthresh.inference import (
     TILE_CELLS,
     ThresholdMap,
     _bin_edges,
+    _tiles,
     decimate_map,
     export_map,
     load_map,
@@ -134,18 +135,42 @@ class TestPredictMap:
                 want = single_patch_threshold(maps, img.pixels, (r, c), trained_like_params)
                 assert_rel_close(tmap.values[i, j], want)
 
+    def test_merged_sliver_tiles_match_per_patch_forward(self, trained_like_params):
+        # 224 rows hold 2 * TILE_CELLS + 1 phase-0 lattice cells, 130 columns
+        # TILE_CELLS + 1 cells of phases 0 and 2 (the border origin 98): every
+        # axis ends in a tile that took in a one-cell sliver
+        shape = (224, 130)
+        assert (shape[0] - 32) // 4 + 1 == 2 * TILE_CELLS + 1
+        assert (shape[1] - 32) // 4 + 1 == (shape[1] - 34) // 4 + 1 == TILE_CELLS + 1
+        img = GrayImage(np.random.default_rng(12).uniform(0.1, 0.9, shape))
+        maps = mscn_map(img.pixels, gaussian_window())
+        reference = {}
+        for stride in (4, 13, 16):
+            tmap = predict_map(img, trained_like_params, stride)
+            rows, cols = patch_grid(shape[0], stride), patch_grid(shape[1], stride)
+            for i, r in enumerate(rows):
+                for j, c in enumerate(cols):
+                    if (r, c) not in reference:
+                        reference[r, c] = single_patch_threshold(
+                            maps, img.pixels, (r, c), trained_like_params
+                        )
+                    assert_rel_close(tmap.values[i, j], reference[r, c])
+
     def test_multi_tile_stride_subgrids_bit_identical(self, trained_like_params):
         # each coarser grid's origins, border origins included, are a subset
-        # of the finer grid's, and the cells they share are equal bit for bit
-        shape = (300, 260)
-        img = GrayImage(np.random.default_rng(11).uniform(0.1, 0.9, shape))
-        maps = {s: predict_map(img, trained_like_params, s) for s in (4, 8, 16)}
-        for fine, coarse in ((4, 8), (8, 16)):
-            pick = [
-                [patch_grid(length, fine).index(o) for o in patch_grid(length, coarse)]
-                for length in shape
-            ]
-            np.testing.assert_array_equal(maps[fine].values[np.ix_(*pick)], maps[coarse].values)
+        # of the finer grid's, and the cells they share are equal bit for bit;
+        # (224, 130) ends both axes in a tile that took in a one-cell sliver
+        for seed, shape in ((11, (300, 260)), (13, (224, 130))):
+            img = GrayImage(np.random.default_rng(seed).uniform(0.1, 0.9, shape))
+            maps = {s: predict_map(img, trained_like_params, s) for s in (4, 8, 16)}
+            for fine, coarse in ((4, 8), (8, 16)):
+                pick = [
+                    [patch_grid(length, fine).index(o) for o in patch_grid(length, coarse)]
+                    for length in shape
+                ]
+                np.testing.assert_array_equal(
+                    maps[fine].values[np.ix_(*pick)], maps[coarse].values
+                )
 
     def test_traced_peak_memory_bounded(self, trained_like_params):
         # tiles bound the working set; a whole-image im2col would need > 200 MB
@@ -159,16 +184,18 @@ class TestPredictMap:
         assert peak < 16 * 2**20
 
     def test_tile_pass_traced_peak_bounded(self, trained_like_params):
-        # conv1 runs in row strips: a whole-tile im2col alone would be 11 MiB
-        side = LATTICE * TILE_CELLS + 28
-        tile = np.random.default_rng(6).standard_normal((4, side, side))
-        tracemalloc.start()
-        try:
-            lattice_thresholds(tile, trained_like_params, range(TILE_CELLS))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20
+        # conv1 runs in row strips: a whole-tile im2col alone would be 11 MiB;
+        # the last tile of an axis may hold one cell more
+        for cells in (TILE_CELLS, TILE_CELLS + 1):
+            side = LATTICE * cells + 28
+            tile = np.random.default_rng(6).standard_normal((4, side, side))
+            tracemalloc.start()
+            try:
+                lattice_thresholds(tile, trained_like_params, range(cells))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2**20
 
     def test_stride_subgrid_consistency(self, test_image, trained_like_params):
         fine = predict_map(test_image, trained_like_params, stride=16)
@@ -187,6 +214,25 @@ class TestPredictMap:
     def test_bad_stride(self, test_image, trained_like_params):
         with pytest.raises(DataError, match="stride"):
             predict_map(test_image, trained_like_params, stride=0)
+
+
+class TestTiles:
+    def test_phase_lattice_split_without_one_cell_tiles(self):
+        # stride 1 holds every origin of every phase; each phase's lattice is
+        # split into consecutive tiles of TILE_CELLS cells, the last one
+        # holding 2..TILE_CELLS + 1 (or the whole lattice, if it has 1 cell)
+        for length in range(32, 440):
+            origins = patch_grid(length, 1)
+            by_phase = {}
+            for start, end, grid_idx, tile_idx in _tiles(origins, length):
+                n_cells = (end - start - 32) // LATTICE + 1
+                assert [origins[k] for k in grid_idx] == [start + LATTICE * t for t in tile_idx]
+                assert list(tile_idx) == list(range(n_cells))
+                by_phase.setdefault(start % LATTICE, []).append(n_cells)
+            for phase, sizes in by_phase.items():
+                assert sum(sizes) == (length - 32 - phase) // LATTICE + 1, length
+                assert all(n == TILE_CELLS for n in sizes[:-1]), length
+                assert 2 <= sizes[-1] <= TILE_CELLS + 1 or len(sizes) == sizes[-1] == 1, length
 
 
 class TestLatticeThresholds:
