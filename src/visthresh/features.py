@@ -66,10 +66,8 @@ def gaussian_window(size: int = DEFAULT_WINDOW_SIZE, sigma: float = DEFAULT_SIGM
     return GaussianWindow(size=size, sigma=sigma, weights=w)
 
 
-def _windowed_sum(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted sliding-window sum with reflect-101 padding, same size as arr."""
-    half = weights.shape[0] // 2
-    padded = np.pad(arr, half, mode="reflect")
+def _windowed_sum(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sliding-window sum over the valid windows of a padded array."""
     windows = np.lib.stride_tricks.sliding_window_view(padded, weights.shape)
     return np.einsum("xyuv,uv->xy", windows, weights)
 
@@ -79,8 +77,11 @@ def local_moments(img, window: GaussianWindow) -> FeatureMaps:
     arr = _pixels(img)
     if window.size > min(arr.shape):
         raise DataError(f"window size {window.size} exceeds image dimensions {arr.shape}")
-    mean = _windowed_sum(arr, window.weights)
-    var = np.maximum(_windowed_sum(arr * arr, window.weights) - mean * mean, 0.0)
+    # reflect-101 padding only copies pixels, so the padded square is the
+    # square of the padded image
+    padded = np.pad(arr, window.size // 2, mode="reflect")
+    mean = _windowed_sum(padded, window.weights)
+    var = np.maximum(_windowed_sum(padded * padded, window.weights) - mean * mean, 0.0)
     return FeatureMaps(mean_map=mean, var_map=var)
 
 

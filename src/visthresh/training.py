@@ -95,7 +95,6 @@ class TrainingSample:
     origin: tuple[int, int]
     e: float
     q_target: float
-    group: int  # index of the source record, to join a sample back to it
 
 
 @dataclass
@@ -146,7 +145,7 @@ def build_samples(records: list[QualityRecord], cfg: TrainConfig) -> list[Traini
     """
     window = gaussian_window()
     samples = []
-    for group, rec in enumerate(records):
+    for rec in records:
         ref = rec.reference.pixels
         dist = rec.distorted.pixels
         planes = np.stack(feature_planes(mscn_map(dist, window), dist))
@@ -157,18 +156,35 @@ def build_samples(records: list[QualityRecord], cfg: TrainConfig) -> list[Traini
                 e = mean_abs_error(ref_crop, dist_crop)
                 if e < E_MIN:
                     continue
-                samples.append(TrainingSample(planes, (row, col), e, rec.q_global, group))
+                samples.append(TrainingSample(planes, (row, col), e, rec.q_global))
     return samples
 
 
 def adam_step(params: PNetParams, grads: PNetParams, state: AdamState, cfg: TrainConfig, t: int):
-    """One Adam update with bias correction, over the flat parameter vector."""
+    """One Adam update with bias correction, over the flat parameter vector.
+
+    Returns new parameters and a new state; neither argument is modified.
+    The textbook expressions are evaluated in their usual order, in place
+    on four fresh arrays (m, v and two scratch vectors):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        p = p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+    """
     g = grads.vec
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    p = params.vec - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m = np.multiply(state.m, ADAM_BETA1)
+    step = np.multiply(g, 1.0 - ADAM_BETA1)
+    m += step
+    v = np.multiply(state.v, ADAM_BETA2)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+    step *= g
+    v += step
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
+    step *= cfg.learning_rate
+    step /= denom
+    p = np.subtract(params.vec, step, out=step)
     if not np.all(np.isfinite(p)):
         raise NumericError(f"Adam step {t} produced non-finite parameters")
     return PNetParams(p), AdamState(m=m, v=v)
@@ -259,7 +275,7 @@ def train(records: list[QualityRecord], cfg: TrainConfig) -> tuple[PNetParams, T
                 dl_da += g_a / b
             if not math.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {batch_no}")
-            grads = _backward_batch(trace, params, dl_dt, ws=ws)
+            grads = _backward_batch(trace, params, dl_dt)
             grads.a = dl_da
             step += 1
             params, state = adam_step(params, grads, state, cfg, step)
@@ -313,7 +329,7 @@ def _resume(base: ForwardTrace, patch: np.ndarray, params: PNetParams, stage: in
         # conv2's input is unchanged, so base.cols2 is its im2col as is
         pre2 = _conv_gemm(base.cols2, params.conv2_w, params.conv2_b, base.pre2.shape[1:])
         pooled2, idx2 = _relu_pool(pre2)
-        trace = replace(base, pre2=pre2, idx2=idx2, flat=_flatten(pooled2))
+        trace = replace(base, pre2=pre2, idx2=idx2, pooled2=pooled2, flat=_flatten(pooled2))
     fc1_pre, dropped, z, t = _head(trace.flat, params, None)
     return replace(trace, fc1_pre=fc1_pre, dropped=dropped, z=z, t=t)
 

@@ -54,9 +54,11 @@ def oracle_run(tmp_path_factory):
     manifest_records = load_manifest(manifest)
     holdout = train_report.holdout_indices
     predicted = predict_sample_thresholds(samples, params, holdout)
-    t_star = np.array(
-        [oracle[manifest_records[samples[i].group].reference_path.stem] for i in holdout]
-    )
+    # samples come in record order; join each to its record by counting the
+    # patches of that record that survive the minimum-error filter
+    record_of = np.repeat(np.arange(len(records)), [len(build_samples([r], cfg)) for r in records])
+    assert len(record_of) == len(samples)
+    t_star = np.array([oracle[manifest_records[record_of[i]].reference_path.stem] for i in holdout])
     elapsed = time.perf_counter() - tic
     return {
         "predicted": predicted,

@@ -127,6 +127,25 @@ class TestMscnMap:
         with pytest.raises(DataError, match="epsilon"):
             mscn_map(np.zeros((16, 16)), gaussian_window(), epsilon=0.0)
 
+    @pytest.mark.parametrize("shape", [(7, 9), (32, 32), (257, 300)])
+    def test_bytes_equal_two_pad_path(self, shape):
+        # the path that padded the image and its square separately
+        img = np.random.default_rng(shape[0]).uniform(0.0, 1.0, shape)
+        w = gaussian_window()
+
+        def windowed_sum(arr):
+            padded = np.pad(arr, w.size // 2, mode="reflect")
+            windows = np.lib.stride_tricks.sliding_window_view(padded, w.weights.shape)
+            return np.einsum("xyuv,uv->xy", windows, w.weights)
+
+        mean = windowed_sum(img)
+        var = np.maximum(windowed_sum(img * img) - mean * mean, 0.0)
+        mscn = (img - mean) / (np.sqrt(var) + DEFAULT_EPSILON)
+        maps = mscn_map(img, w)
+        assert maps.mean_map.tobytes() == mean.tobytes()
+        assert maps.var_map.tobytes() == var.tobytes()
+        assert maps.mscn_map.tobytes() == mscn.tobytes()
+
 
 class TestAugmentPatch:
     def test_constant_image_channels(self):

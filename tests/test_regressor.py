@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,16 @@ from visthresh.errors import DataError
 from visthresh.quality_model import T_MIN
 from visthresh.regressor import (
     CHECKPOINT_MAGIC,
+    _OFFSETS,
     PARAM_COUNT,
     PNetParams,
+    _backward_batch,
+    _conv_backward,
     _forward_batch,
     _pool2,
+    _pool2_backward,
+    _relu_pool,
+    _sigmoid,
     backward,
     dropout_mask,
     forward,
@@ -179,6 +186,102 @@ class TestBackward:
             ) / (2 * h)
             denom = max(abs(grads[c]), abs(fd), 1e-5)
             assert abs(grads[c] - fd) / denom < 1e-4
+
+
+def pool2_backward_zeros(dpool, idx, x_shape):
+    """The argmax routing into a zeroed array, kept as the oracle."""
+    dx = np.zeros(x_shape)
+    dx[:, 0::2, 0::2] = dpool * (idx == 0)
+    dx[:, 0::2, 1::2] = dpool * (idx == 1)
+    dx[:, 1::2, 0::2] = dpool * (idx == 2)
+    dx[:, 1::2, 1::2] = dpool * (idx == 3)
+    return dx
+
+
+def conv_dx_col2im(delta, w, x_shape):
+    """conv2's input gradient as one (C*K*K, OH*OW*B) GEMM, then col2im adds:
+    the path before the per-offset GEMMs, kept as the oracle."""
+    f, oh, ow, batch = delta.shape
+    c, h, w_, _ = x_shape
+    k = w.shape[-1]
+    dwin = (w.reshape(f, -1).T @ delta.reshape(f, -1)).reshape(c, k, k, oh, ow * batch)
+    dx3 = np.zeros((c, h, w_ * batch))
+    for u in range(k):
+        for v in range(k):
+            dx3[:, u : u + oh, v * batch : (v + ow) * batch] += dwin[:, u, v]
+    return dx3.reshape(x_shape)
+
+
+def backward_batch_col2im(trace, params, dl_dt):
+    """_backward_batch with full-size relu masks and the col2im input gradient."""
+    batch = trace.z.shape[0]
+    dz = dl_dt * _sigmoid(trace.z)
+    g = PNetParams()
+    g.fc2_w = trace.dropped.T @ dz
+    g.fc2_b = float(dz.sum())
+    dfc1_pre = dz[:, None] * params.fc2_w[None, :] * trace.dropout_mask * (trace.fc1_pre > 0.0)
+    g.fc1_w = dfc1_pre.T @ trace.flat
+    g.fc1_b = dfc1_pre.sum(axis=0)
+    dpooled2 = (dfc1_pre @ params.fc1_w).reshape(batch, 32, 5, 5).transpose(1, 2, 3, 0)
+    dpre2 = pool2_backward_zeros(dpooled2, trace.idx2, trace.pre2.shape) * (trace.pre2 > 0.0)
+    g.conv2_w, g.conv2_b, _ = _conv_backward(dpre2, trace.cols2, params.conv2_w)
+    dpooled1 = conv_dx_col2im(dpre2, params.conv2_w, trace.pooled1.shape)
+    dpre1 = pool2_backward_zeros(dpooled1, trace.idx1, trace.pre1.shape) * (trace.pre1 > 0.0)
+    g.conv1_w, g.conv1_b, _ = _conv_backward(dpre1, trace.cols1, params.conv1_w)
+    return g
+
+
+def batch_trace(batch, seed=0):
+    x = np.stack([random_patch(seed * 1000 + i) for i in range(batch)])
+    params = init_params(seed)
+    trace = _forward_batch(x, params, dropout_mask(seed, batch), ws={})
+    return trace, params, np.random.default_rng(seed).normal(size=batch)
+
+
+class TestBatchBackward:
+    def test_pooled_mask_equals_full_size_mask(self):
+        # the relu mask applied before routing (pooled > 0) and after it
+        # (pre > 0) give the same bits, signed zeros included
+        rng = np.random.default_rng(3)
+        pre = rng.normal(size=(32, 28, 28, 5))
+        pre[:4] = -np.abs(pre[:4])  # dead units: every window non-positive
+        pre[4:8, :, :, 1] = 0.0  # four-way zero ties
+        pre[8:12, :, :, 2] = -0.0
+        pre[12:16, ::3] = 0.0  # zeros planted beside live values
+        pooled, idx = _relu_pool(pre)
+        dp = rng.normal(size=pooled.shape)
+        dp[:, ::4] = 0.0
+        dp[:, 1::4] = -0.0
+        assert np.any(pooled == 0.0) and np.any(pooled > 0.0)
+        got = _pool2_backward(dp * (pooled > 0.0), idx, pre.shape)
+        want = _pool2_backward(dp, idx, pre.shape) * (pre > 0.0)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_array_equal(want, pool2_backward_zeros(dp, idx, pre.shape) * (pre > 0.0))
+
+    @pytest.mark.parametrize("batch", [1, 7, 32, 33])
+    def test_matches_col2im_oracle(self, batch):
+        # per-offset GEMMs may round differently from the full GEMM's rows
+        # (odd batches on OpenBLAS), so each parameter block is held to 1e-13
+        # of its largest gradient
+        trace, params, dl_dt = batch_trace(batch, seed=batch)
+        got = _backward_batch(trace, params, dl_dt).vec
+        want = backward_batch_col2im(trace, params, dl_dt).vec
+        for start, stop in zip(_OFFSETS[:-2], _OFFSETS[1:-1]):  # every block but a
+            scale = np.max(np.abs(want[start:stop]))
+            assert scale > 0.0
+            assert np.max(np.abs(got[start:stop] - want[start:stop])) <= 1e-13 * scale
+
+    def test_traced_peak_bounded(self):
+        # a (800, 100*B) matrix of conv2's input gradients alone would be 19.5 MiB
+        trace, params, dl_dt = batch_trace(32)
+        tracemalloc.start()
+        try:
+            _backward_batch(trace, params, dl_dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"backward peak {peak / 2**20:.1f} MiB"
 
 
 class TestCheckpoint:

@@ -55,7 +55,6 @@ class TestBuildSamples:
         samples = build_samples([make_pair(size=32)], cfg)
         assert len(samples) == 1
         assert samples[0].q_target == 0.5
-        assert samples[0].group == 0
 
     def test_stride_grid_count(self):
         cfg = TrainConfig(epochs=1, seed=0)
@@ -136,6 +135,29 @@ class TestAdam:
         _, state = adam_step(init_params(0), grads, AdamState.zeros(), cfg, t=1)
         assert np.all(state.m == (1.0 - training.ADAM_BETA1) * 1.0)
         assert np.all(state.v == (1.0 - training.ADAM_BETA2) * 1.0)
+
+    @pytest.mark.parametrize("t", [1, 2, 37, 5000])
+    def test_matches_textbook_expressions(self, t):
+        rng = np.random.default_rng(t)
+        cfg = TrainConfig(epochs=1, learning_rate=3e-3)
+        params = PNetParams.from_vector(rng.normal(size=PARAM_COUNT))
+        g = rng.normal(size=PARAM_COUNT) * 10.0 ** rng.integers(-9, 3, PARAM_COUNT)
+        state = AdamState(rng.normal(size=PARAM_COUNT) * 1e-2, rng.uniform(0.0, 1e-3, PARAM_COUNT))
+        m0, v0, p0 = state.m.copy(), state.v.copy(), params.vec.copy()
+        updated, new = adam_step(params, PNetParams(g), state, cfg, t)
+        m = 0.9 * m0 + (1.0 - 0.9) * g
+        v = 0.999 * v0 + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
+        p = p0 - 3e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        np.testing.assert_array_equal(new.m, m)
+        np.testing.assert_array_equal(new.v, v)
+        np.testing.assert_array_equal(updated.vec, p)
+        # the arguments are left as they were
+        np.testing.assert_array_equal(state.m, m0)
+        np.testing.assert_array_equal(state.v, v0)
+        np.testing.assert_array_equal(params.vec, p0)
+        assert not np.shares_memory(updated.vec, params.vec)
 
     def test_infinite_gradient_is_numeric_error(self):
         # inf/inf in m_hat / sqrt(v_hat) makes the parameter NaN
