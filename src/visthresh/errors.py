@@ -9,4 +9,4 @@ class DataError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Numerical failure: non-finite loss, degenerate fit, failed gradient check."""
+    """Numerical failure: non-finite loss, failed gradient check."""

@@ -3,8 +3,8 @@
 Predictions and psychophysical ground truth live on different scales, so
 predictions are first linearized through a monotonic third-order
 polynomial (the exact least-squares cubic whose derivative keeps one sign
-on a dense grid over the data hull), then scored with Pearson correlation
-and RMSE.
+on the whole data hull, found in closed form), then scored with Pearson
+correlation and RMSE.
 Patches whose mean luminance falls outside a configurable band can be
 excluded, mirroring the outlier analysis of under-represented very dark
 and very bright content.
@@ -18,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError
 from .features import PATCH_SIZE, patch_grid
 from .image_io import GrayImage, read_csv_rows
 from .inference import ThresholdMap
 
 DEFAULT_LUMINANCE_BAND = (10.0, 250.0)
-DERIVATIVE_GRID = 256
+DERIVATIVE_GRID = 256  # read only by the benchmark, which checks fitted slopes on this grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +61,7 @@ class MonotoneCubic:
     through the standardized variable t = (x - center)/scale with
     `scaled_coefficients`, which stays numerically stable even when the
     x values are nearly constant and the raw-scale coefficients blow up.
-    Fits from fit_monotonic_cubic are exact, so `converged` is True.
+    Fits from fit_monotonic_cubic are closed-form, so `converged` is True.
     """
 
     coefficients: tuple[float, float, float, float]
@@ -132,57 +132,54 @@ def rmse(pred, gt) -> float:
     return float(np.sqrt(np.mean((pred - gt) ** 2)))
 
 
-def _nnls(e, f) -> np.ndarray:
-    """argmin ||e @ lam - f|| over lam >= 0, by Lawson and Hanson's active-set method.
+def _hull_face_fit(r, z0, s, a, b) -> np.ndarray:
+    """Best feasible face optimum of fit_monotonic_cubic, as scaled coefficients.
 
-    Each outer step frees the coordinate with the largest positive dual
-    value; the inner loop steps back toward the previous iterate until
-    every free coordinate is positive.  Finite in exact arithmetic; the
-    3 * columns step bound only guards against rounding-induced cycling.
+    R is triangular, so c0 zeroes the first row of R c - z0 and each family is
+    solved for (c1, c2, c3) on the rest, R' and z, and checked on its own k.
+    For p' = 3 k (t - tau)^2 the residual is const - N^2/D, with N = z . w and
+    D = |w|^2 for w = R' (3 tau^2, -3 tau, 1), so tau is a root of 2 N' D - N D'.
     """
-    m, n = e.shape
-    lam = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    tol = max(m, n) * np.finfo(np.float64).eps * float(np.linalg.norm(f))
-    for _ in range(3 * n):
-        w = e.T @ (f - e @ lam)
-        w[passive] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= tol:
-            return lam
-        passive[j] = True
-        while True:
-            trial = np.zeros(n)
-            trial[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
-            if np.all(trial[passive] > 0.0):
-                lam = trial
-                break
-            blocked = np.flatnonzero(passive & (trial <= 0.0))
-            ratios = lam[blocked] / (lam[blocked] - trial[blocked])
-            lam = lam + ratios.min() * (trial - lam)
-            lam[blocked[np.argmin(ratios)]] = 0.0
-            passive &= lam > 0.0
-    raise NumericError(f"NNLS did not converge within {3 * n} active-set steps")
+    rr, z = r[1:, 1:], z0[1:]
+
+    def face(*columns):
+        basis = np.array(columns).T
+        k = np.linalg.lstsq(rr @ basis, z, rcond=None)[0]
+        return k, basis @ k
+
+    fits = [np.zeros(3)]  # p' = 0
+    for e, side in ((a, 1.0), (b, -1.0)):  # p' = (t - e)(2 k0 + 3 k1 (t - e))
+        k, c = face((-2.0 * e, 1.0, 0.0), (3.0 * e * e, -3.0 * e, 1.0))
+        if min(side * s * (2.0 * k[0] + 3.0 * k[1] * (t - e)) for t in (a, b)) >= 0.0:
+            fits.append(c)
+    k, c = face((a * b, -0.5 * (a + b), 1.0 / 3.0))  # p' = k (t - a)(t - b)
+    if s * k[0] <= 0.0:
+        fits.append(c)
+    w = rr * [3.0, -3.0, 1.0]  # rows: quadratics in tau, highest power first
+    num = z @ w
+    den = sum(np.convolve(row, row) for row in w)
+    stationary = 2.0 * np.convolve(np.polyder(num), den) - np.convolve(num, np.polyder(den))
+    # its degree-5 coefficient cancels exactly; an extra tau only adds a candidate
+    for tau in np.clip(np.roots(stationary[1:]).real, a, b):
+        k, c = face((3.0 * tau * tau, -3.0 * tau, 1.0))
+        if s * k[0] >= 0.0:
+            fits.append(c)
+    c = min(fits, key=lambda c: np.linalg.norm(rr @ c - z))
+    return np.concatenate([[(z0[0] - r[0, 1:] @ c) / r[0, 0]], c])
 
 
 def fit_monotonic_cubic(x, y) -> MonotoneCubic:
-    """Least-squares cubic constrained to be monotone over [min x, max x].
+    """Least-squares cubic whose slope keeps one sign s on all of [min x, max x].
 
-    The direction s is the sign of the raw correlation.  On standardized
-    t = (x - mean x)/sd x, with design rows phi = (1, t, t^2, t^3) and
-    derivative rows psi = (0, 1, 2g, 3g^2) at DERIVATIVE_GRID uniform
-    points g over the data hull, the fit solves exactly
-
-        min ||phi c - y||  subject to  s * psi c >= 0.
-
-    The constraints are homogeneous, so the feasible set is a cone.
-    Whitening with phi = Q R turns the problem into projecting
-    z0 = Q^T (y - mean y) onto {z : A z >= 0}, A = s psi R^-1.  By
-    Moreau's decomposition that projection is z0 + A^T lam, where
-    lam = argmin_{lam >= 0} ||A^T lam + z0|| is a small NNLS; then
-    c = R^-1 (z0 + A^T lam).  When the unconstrained cubic is already
-    monotone on the grid, lam = 0 and the fit is the least-squares cubic.
-    Raises NumericError rather than return an unconverged fit.
+    s is the sign of the raw correlation.  On standardized t = (x - mean x)/sd x,
+    with hull [a, b] = [min t, max t] and phi = (1, t, t^2, t^3) = Q R, the fit
+    exactly solves  min ||phi c - y||  subject to  s * p'(t) >= 0 on [a, b].
+    p' is a quadratic, so the least-squares cubic is the fit when s * p' >= 0
+    at a, at b and at its vertex.  Otherwise p' = 0 somewhere on [a, b], and
+    p' is 0, (t - a) g(t) or (t - b) g(t) with g linear, k (t - a)(t - b) or
+    k (t - tau)^2 with tau in [a, b].  Each is a linear family of cubics whose
+    least-squares member is the optimum if the family holds it; the fit is
+    the feasible member with the smallest residual.  No step iterates.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -195,21 +192,21 @@ def fit_monotonic_cubic(x, y) -> MonotoneCubic:
         raise DataError("monotone cubic fit undefined for constant x")
     dx = x - mu
     dy = y - y.mean()
+    if not np.isfinite(dx @ dx + dy @ dy):
+        raise DataError("monotone cubic fit: squared deviations of x or y overflow float64")
     s = -1.0 if float(dx @ dy) < 0.0 else 1.0
 
     ts = dx / sd
-    grid = np.linspace(ts.min(), ts.max(), DERIVATIVE_GRID)
     phi = np.stack([np.ones_like(ts), ts, ts**2, ts**3], axis=1)
     if np.linalg.matrix_rank(phi) < 4:
         raise DataError("monotone cubic fit needs at least 4 distinct x values")
-    psi = np.stack([np.zeros_like(grid), np.ones_like(grid), 2.0 * grid, 3.0 * grid**2], axis=1)
     q, r = np.linalg.qr(phi)
     z0 = q.T @ dy
-    a = s * np.linalg.solve(r.T, psi.T).T
-    # unit rows leave the cone unchanged and put the NNLS tolerance in
-    # units of distance from each constraint's hyperplane
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    c = np.linalg.solve(r, z0 + a.T @ _nnls(a.T, -z0))
+    c = np.linalg.solve(r, z0)
+    lo, hi = float(ts.min()), float(ts.max())
+    hull = [lo, hi] + ([min(max(-c[2] / (3.0 * c[3]), lo), hi)] if c[3] else [])
+    if min(s * ((3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]) for t in hull) < 0.0:
+        c = _hull_face_fit(r, z0, s, lo, hi)
     c[0] += y.mean()
 
     # expand to raw-x coefficients for reporting; prediction always goes
@@ -291,36 +288,38 @@ def load_groundtruth(path) -> np.ndarray:
     rows = read_csv_rows(path)
     if not rows or tuple(cell.strip() for cell in rows[0][1]) != ("row", "col", "threshold_db"):
         raise DataError(f"{path}: expected header 'row,col,threshold_db'")
-    cells: dict[tuple[int, int], float] = {}
+    rs, cs, values = [], [], []
     for lineno, row in rows[1:]:
         if len(row) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 columns")
         try:
-            r, c, v = int(row[0]), int(row[1]), float(row[2])
+            r, c = int(row[0]), int(row[1])
+            values.append(float(row[2]))
         except ValueError:
             raise DataError(f"{path}:{lineno}: unparsable cell {row}") from None
         if r < 0 or c < 0:
             raise DataError(f"{path}:{lineno}: negative cell index ({r}, {c})")
-        if (r, c) in cells:
-            raise DataError(f"{path}:{lineno}: duplicate cell ({r}, {c})")
-        cells[(r, c)] = v
-    if not cells:
+        rs.append(r)
+        cs.append(c)
+    if not values:
         raise DataError(f"{path}: no ground-truth cells")
-    n_rows = max(r for r, _ in cells) + 1
-    n_cols = max(c for _, c in cells) + 1
-    if len(cells) != n_rows * n_cols:
-        # cells are distinct and in range, so some are missing; name a few
-        missing = itertools.islice(
-            ((r, c) for r in range(n_rows) for c in range(n_cols) if (r, c) not in cells), 5
-        )
-        raise DataError(
-            f"{path}: missing cells relative to the declared {n_rows}x{n_cols} grid "
-            f"({n_rows * n_cols - len(cells)} in all): {list(missing)}"
-        )
-    grid = np.empty((n_rows, n_cols))
-    for (r, c), v in cells.items():
-        grid[r, c] = v
-    return grid
+    n_rows, n_cols = max(rs) + 1, max(cs) + 1
+    if len(set(zip(rs, cs))) == len(values) == n_rows * n_cols:
+        grid = np.empty((n_rows, n_cols))
+        grid[rs, cs] = values
+        return grid
+    first = {}
+    for (lineno, _), cell in zip(rows[1:], zip(rs, cs)):
+        if first.setdefault(cell, lineno) != lineno:
+            raise DataError(f"{path}:{lineno}: duplicate cell {cell}")
+    # cells are distinct and in range, so some are missing; name a few
+    missing = itertools.islice(
+        ((r, c) for r in range(n_rows) for c in range(n_cols) if (r, c) not in first), 5
+    )
+    raise DataError(
+        f"{path}: missing cells relative to the declared {n_rows}x{n_cols} grid "
+        f"({n_rows * n_cols - len(first)} in all): {list(missing)}"
+    )
 
 
 def pair_with_map(gt_grid: np.ndarray, tmap: ThresholdMap) -> PairedData:

@@ -199,6 +199,24 @@ class TestEvaluate:
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "cell",
+        [lambda r, c: (-1) ** (r + c) * 1.7e308, lambda r, c: 1e300 * (1.0 + 0.1 * r - 0.05 * c)],
+        ids=["near_max_alternating", "squares_overflow"],
+    )
+    def test_overflowing_groundtruth_is_data_error(self, prediction, tmp_path, capsys, cell):
+        # a 5x5 ground truth matches the 5x5 map, so the values reach the fit as they are
+        gt = tmp_path / "gt.csv"
+        lines = ["row,col,threshold_db"]
+        lines += [f"{r},{c},{cell(r, c)!r}" for r in range(5) for c in range(5)]
+        gt.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "r.json"
+        code = run(["evaluate", "--pred", str(prediction), "--gt", str(gt),
+                    "--band", "0,255", "--out", str(report)])
+        assert code == 2
+        assert "data error:" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_default_band_after_an_explicit_band(self, prediction, tmp_path):
         gt = tmp_path / "gt.csv"
         gt.write_text("row,col,threshold_db\n0,0,-20\n0,1,-18\n1,0,-17\n1,1,-15\n")
