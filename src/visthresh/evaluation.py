@@ -187,13 +187,16 @@ def fit_monotonic_cubic(x, y) -> MonotoneCubic:
         raise DataError("monotone cubic fit needs at least 4 paired points")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DataError("monotone cubic fit needs finite x and y values")
-    mu, sd = float(x.mean()), float(x.std())
-    if sd == 0.0:
-        raise DataError("monotone cubic fit undefined for constant x")
-    dx = x - mu
-    dy = y - y.mean()
-    if not np.isfinite(dx @ dx + dy @ dy):
-        raise DataError("monotone cubic fit: squared deviations of x or y overflow float64")
+    # values near the float64 limit overflow these sums; the checks below
+    # turn that into a DataError, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sd = float(x.mean()), float(x.std())
+        if sd == 0.0:
+            raise DataError("monotone cubic fit undefined for constant x")
+        dx = x - mu
+        dy = y - y.mean()
+        if not np.isfinite(dx @ dx + dy @ dy):
+            raise DataError("monotone cubic fit: squared deviations of x or y overflow float64")
     s = -1.0 if float(dx @ dy) < 0.0 else 1.0
 
     ts = dx / sd

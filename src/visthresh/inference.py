@@ -151,8 +151,10 @@ def _bin_edges(n: int, target: int) -> list[int]:
 
 
 def _block_mean(grid: np.ndarray, row_edges, col_edges) -> np.ndarray:
-    # the edges are strictly increasing, so every reduceat segment is one bin
-    sums = np.add.reduceat(np.add.reduceat(grid, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
+    # the edges are strictly increasing, so every reduceat segment is one bin;
+    # a bin that overflows is inf, which the fit rejects as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.reduceat(np.add.reduceat(grid, row_edges[:-1], axis=0), col_edges[:-1], axis=1)
     return sums / np.outer(np.diff(row_edges), np.diff(col_edges))
 
 

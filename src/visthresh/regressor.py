@@ -12,8 +12,10 @@ the gradient to the argmax (first index wins ties, row-major within the
 2x2 window).  Each conv block's relu mask is applied to the pooled
 gradient, ``pooled > 0``, before it is routed: at the argmax that is
 ``pre > 0``, and every other element gets ``dpool * 0`` either way, so the
-bits are those of masking the full-size gradient.  conv2's input gradient
-is one GEMM per kernel offset, each added into dx as soon as it is made.
+bits are those of masking the full-size gradient.  The trace therefore
+keeps no conv output, and the relu runs in place on the GEMM result.
+conv2's input gradient is one GEMM per kernel offset, each added into dx
+as soon as it is made.
 The global log-scale parameter ``a`` rides along with the network
 parameters but its gradient comes from the quality model.
 
@@ -107,21 +109,19 @@ for (_name, _shape), _start in zip(_SHAPES, _OFFSETS):
 
 @dataclass(eq=False)
 class ForwardTrace:
-    """Everything the backward pass needs.
+    """Everything the backward pass needs, and no more.
 
     Convolutional stages are stored batch-last, (channels, H, W, B), so
     the im2col copies run along long contiguous spans; fully connected
-    stages are batch-outer.  The backward masks each pooled gradient with
-    pooled1 > 0 and pooled2 > 0; pre1 and pre2 give the shapes it routes
-    into, and gradcheck's activation patterns.
+    stages are batch-outer.  The backward branches on pooled1 > 0, idx1,
+    pooled2 > 0, idx2 and fc1_pre > 0, and nothing else; gradcheck's
+    activation patterns compare the same arrays.
     """
 
     cols1: np.ndarray        # conv1 im2col, (100, 28*28*B)
-    pre1: np.ndarray         # (32, 28, 28, B)
     idx1: np.ndarray         # pool-1 argmax, (32, 14, 14, B)
     pooled1: np.ndarray      # pool-1 output, conv2's input, (32, 14, 14, B)
     cols2: np.ndarray        # conv2 im2col, (800, 10*10*B)
-    pre2: np.ndarray         # (32, 10, 10, B)
     idx2: np.ndarray         # pool-2 argmax, (32, 5, 5, B)
     pooled2: np.ndarray      # pool-2 output, (32, 5, 5, B)
     flat: np.ndarray         # (B, 800)
@@ -196,20 +196,8 @@ def _conv_gemm(cols, w, b, out_shape):
     return out.reshape(w.shape[0], *out_shape)
 
 
-def _conv_valid(x, w, b, ws=None, tag=""):
-    """Valid stride-1 convolution on batch-last input (C, H, W, B).
-
-    Returns (out, cols) with out (F, OH, OW, B) and the im2col matrix cols
-    (C*K*K, OH*OW*B) cached for the backward pass.
-    """
-    _, h, w_, batch = x.shape
-    k = w.shape[-1]
-    cols = _im2col(x, k, ws, tag)
-    return _conv_gemm(cols, w, b, (h - k + 1, w_ - k + 1, batch)), cols
-
-
 def _conv_backward(delta, cols, w, x_shape=None):
-    """Weight, bias and (for an input of shape x_shape) input gradients of _conv_valid.
+    """Weight, bias and (for an input of shape x_shape) input gradients of _conv_gemm.
 
     The input gradient is one GEMM per kernel offset (u, v) into a single
     (C, OH, OW*B) buffer, added into dx right away, so the (C*K*K, OH*OW*B)
@@ -261,13 +249,14 @@ def _pool2_values(x, out=None):
     return np.maximum(top, np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]), out=out)
 
 
-def _pool2_backward(dpool, idx, x_shape):
+def _pool2_backward(dpool, idx):
     """Route dpool to each 2x2 window's argmax; the others get dpool * 0.
 
-    x_shape has even H and W, so the four quadrant products write every
-    element of dx exactly once and it needs no zeroing.
+    dx is twice dpool in H and W, so the four quadrant products write every
+    element of it exactly once and it needs no zeroing.
     """
-    dx = np.empty(x_shape)
+    c, h, w_, batch = dpool.shape
+    dx = np.empty((c, 2 * h, 2 * w_, batch))
     for q, (r, s) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         np.multiply(dpool, idx == q, out=dx[:, r::2, s::2])
     return dx
@@ -294,18 +283,12 @@ def _head(flat: np.ndarray, params: PNetParams, masks: np.ndarray | None):
 
 
 def _relu_pool(pre):
-    """relu -> 2x2 max-pool of a conv output: (pooled, idx) as _pool2 returns."""
-    return _pool2(np.maximum(pre, 0.0))
+    """relu -> 2x2 max-pool of a conv output: (pooled, idx) as _pool2 returns.
 
-
-def _conv_block(x, w, b, ws=None, tag=""):
-    """conv -> relu -> 2x2 max-pool on batch-last x.
-
-    Returns (pre, cols, pooled, idx): the conv output, its im2col matrix,
-    the pooled output and the pool argmax.
+    The relu overwrites pre, which is dead afterwards; both results are
+    fresh arrays.
     """
-    pre, cols = _conv_valid(x, w, b, ws=ws, tag=tag)
-    return (pre, cols, *_relu_pool(pre))
+    return _pool2(np.maximum(pre, 0.0, out=pre))
 
 
 def _flatten(pooled2: np.ndarray) -> np.ndarray:
@@ -316,14 +299,17 @@ def _flatten(pooled2: np.ndarray) -> np.ndarray:
 def _forward_batch(
     x: np.ndarray, params: PNetParams, masks: np.ndarray | None, ws: dict | None = None
 ) -> ForwardTrace:
+    batch = x.shape[0]
     xl = np.ascontiguousarray(x.transpose(1, 2, 3, 0))  # batch-last
-    pre1, cols1, pooled1, idx1 = _conv_block(xl, params.conv1_w, params.conv1_b, ws, "c1.")
-    pre2, cols2, pooled2, idx2 = _conv_block(pooled1, params.conv2_w, params.conv2_b, ws, "c2.")
+    cols1 = _im2col(xl, KERNEL_SIZE, ws, "c1.")
+    pooled1, idx1 = _relu_pool(_conv_gemm(cols1, params.conv1_w, params.conv1_b, (28, 28, batch)))
+    cols2 = _im2col(pooled1, KERNEL_SIZE, ws, "c2.")
+    pooled2, idx2 = _relu_pool(_conv_gemm(cols2, params.conv2_w, params.conv2_b, (10, 10, batch)))
     flat = _flatten(pooled2)
     fc1_pre, dropped, z, t = _head(flat, params, masks)
     return ForwardTrace(
-        cols1=cols1, pre1=pre1, idx1=idx1, pooled1=pooled1, cols2=cols2, pre2=pre2, idx2=idx2,
-        pooled2=pooled2, flat=flat, fc1_pre=fc1_pre, dropout_mask=masks, dropped=dropped, z=z, t=t,
+        cols1=cols1, idx1=idx1, pooled1=pooled1, cols2=cols2, idx2=idx2, pooled2=pooled2,
+        flat=flat, fc1_pre=fc1_pre, dropout_mask=masks, dropped=dropped, z=z, t=t,
     )
 
 
@@ -341,12 +327,12 @@ def _backward_batch(trace: ForwardTrace, params: PNetParams, dl_dt: np.ndarray) 
     dflat = dfc1_pre @ params.fc1_w
     # relu masks act on the pooled gradients (see the module docstring)
     dpooled2 = dflat.reshape(batch, CONV2_FILTERS, 5, 5).transpose(1, 2, 3, 0)
-    dpre2 = _pool2_backward(dpooled2 * (trace.pooled2 > 0.0), trace.idx2, trace.pre2.shape)
+    dpre2 = _pool2_backward(dpooled2 * (trace.pooled2 > 0.0), trace.idx2)
     g.conv2_w, g.conv2_b, dpooled1 = _conv_backward(
         dpre2, trace.cols2, params.conv2_w, trace.pooled1.shape
     )
     dpooled1 *= trace.pooled1 > 0.0
-    dpre1 = _pool2_backward(dpooled1, trace.idx1, trace.pre1.shape)
+    dpre1 = _pool2_backward(dpooled1, trace.idx1)
     g.conv1_w, g.conv1_b, _ = _conv_backward(dpre1, trace.cols1, params.conv1_w)
     return g
 
@@ -417,7 +403,8 @@ def _pooled_map(x: np.ndarray, params: PNetParams) -> np.ndarray:
     pooled1 = np.empty((CONV1_FILTERS, oh // 2, ow // 2))
     for top in range(0, oh, STRIP_ROWS):
         bottom = min(top + STRIP_ROWS, oh)
-        pre1, _ = _conv_valid(x[:, top : bottom + k - 1, :, None], params.conv1_w, params.conv1_b)
+        cols = _im2col(x[:, top : bottom + k - 1, :, None], k)
+        pre1 = _conv_gemm(cols, params.conv1_w, params.conv1_b, (bottom - top, ow, 1))
         _pool2_values(pre1[..., 0], out=pooled1[:, top // 2 : bottom // 2])
     np.maximum(pooled1, 0.0, out=pooled1)
     pre2 = _conv_shifted(pooled1, params.conv2_w, params.conv2_b)

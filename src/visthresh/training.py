@@ -294,14 +294,16 @@ def _activation_pattern(trace, q_hat: float, q_target: float, stage: int = 0) ->
 
     Stages are 0 conv1 block, 1 conv2 block, 2 fully connected head.  The
     list runs back from the loss: the L1 sign, the fc1 ReLU mask, then each
-    conv block's ReLU mask and pool argmax down to `stage`, so a later
-    stage's pattern is a prefix of an earlier one's.
+    conv block's pooled live mask and pool argmax down to `stage` -- the
+    branches the backward takes, so a conv output that is not its window's
+    argmax may cross zero without a kink.  A later stage's pattern is a
+    prefix of an earlier one's.
     """
     pattern = [q_hat > q_target, trace.fc1_pre > 0.0]
     if stage < 2:
-        pattern += [trace.pre2 > 0.0, trace.idx2]
+        pattern += [trace.pooled2 > 0.0, trace.idx2]
     if stage < 1:
-        pattern += [trace.pre1 > 0.0, trace.idx1]
+        pattern += [trace.pooled1 > 0.0, trace.idx1]
     return pattern
 
 
@@ -327,9 +329,8 @@ def _resume(base: ForwardTrace, patch: np.ndarray, params: PNetParams, stage: in
     trace = base
     if stage == 1:
         # conv2's input is unchanged, so base.cols2 is its im2col as is
-        pre2 = _conv_gemm(base.cols2, params.conv2_w, params.conv2_b, base.pre2.shape[1:])
-        pooled2, idx2 = _relu_pool(pre2)
-        trace = replace(base, pre2=pre2, idx2=idx2, pooled2=pooled2, flat=_flatten(pooled2))
+        pooled2, idx2 = _relu_pool(_conv_gemm(base.cols2, params.conv2_w, params.conv2_b, (10, 10, 1)))
+        trace = replace(base, idx2=idx2, pooled2=pooled2, flat=_flatten(pooled2))
     fc1_pre, dropped, z, t = _head(trace.flat, params, None)
     return replace(trace, fc1_pre=fc1_pre, dropped=dropped, z=z, t=t)
 

@@ -199,22 +199,34 @@ class TestEvaluate:
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "cell",
-        [lambda r, c: (-1) ** (r + c) * 1.7e308, lambda r, c: 1e300 * (1.0 + 0.1 * r - 0.05 * c)],
-        ids=["near_max_alternating", "squares_overflow"],
+        "cell, map_cell, n",
+        [
+            (lambda r, c: (-1) ** (r + c) * 1.7e308, None, 5),
+            (lambda r, c: 1e300 * (1.0 + 0.1 * r - 0.05 * c), None, 5),
+            (lambda r, c: -15.0 + r + 0.5 * c + 0.1 * r * c, lambda r, c: 1.7e308 * (1.0 - 0.01 * (r + c)), 5),
+            (lambda r, c: -15.0 + r + 0.5 * c, lambda r, c: 1.7e308 * (1.0 - 0.01 * (r + c)), 2),
+        ],
+        ids=["near_max_alternating", "squares_overflow", "map_near_max", "map_bin_sums_overflow"],
     )
-    def test_overflowing_groundtruth_is_data_error(self, prediction, tmp_path, capsys, cell):
-        # a 5x5 ground truth matches the 5x5 map, so the values reach the fit as they are
+    def test_overflowing_groundtruth_is_data_error(self, prediction, tmp_path, capsys, cell, map_cell, n):
+        # an n x n ground truth: at n = 5 it matches the 5x5 map, so the
+        # values reach the fit as they are; at n = 2 the map's 2x2 bin means
+        # are taken first.  map_cell, if given, overwrites the map's values.
+        if map_cell is not None:
+            rows = [",".join(repr(map_cell(r, c)) for c in range(5)) for r in range(5)]
+            prediction.with_name(prediction.name + ".csv").write_text("\n".join(rows) + "\n")
         gt = tmp_path / "gt.csv"
         lines = ["row,col,threshold_db"]
-        lines += [f"{r},{c},{cell(r, c)!r}" for r in range(5) for c in range(5)]
+        lines += [f"{r},{c},{cell(r, c)!r}" for r in range(n) for c in range(n)]
         gt.write_text("\n".join(lines) + "\n")
         report = tmp_path / "r.json"
         code = run(["evaluate", "--pred", str(prediction), "--gt", str(gt),
                     "--band", "0,255", "--out", str(report)])
         assert code == 2
-        assert "data error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
         assert not report.exists()
 
     def test_default_band_after_an_explicit_band(self, prediction, tmp_path):

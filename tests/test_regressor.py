@@ -13,6 +13,7 @@ from visthresh.regressor import (
     PNetParams,
     _backward_batch,
     _conv_backward,
+    _conv_gemm,
     _forward_batch,
     _pool2,
     _pool2_backward,
@@ -72,13 +73,27 @@ class TestForward:
 
     def test_intermediate_shapes(self):
         trace = forward(random_patch(), init_params(0))
-        assert trace.pre1.shape == (32, 28, 28, 1)
+        assert trace.pooled1.shape == (32, 14, 14, 1)
         assert trace.idx1.shape == (32, 14, 14, 1)
-        assert trace.pre2.shape == (32, 10, 10, 1)
+        assert trace.pooled2.shape == (32, 5, 5, 1)
         assert trace.idx2.shape == (32, 5, 5, 1)
         assert trace.flat.shape == (1, 800)
         assert trace.fc1_pre.shape == (1, 100)
         assert trace.z.shape == (1,)
+
+    def test_warm_batch_traced_peak_bounded(self):
+        # with the im2col scratch reused, the trace holds no conv output and
+        # the relu runs in place: one 6.1 MiB conv1 output at a time
+        x = np.stack([random_patch(i) for i in range(32)])
+        params, masks, ws = init_params(0), dropout_mask(0, 32), {}
+        _forward_batch(x, params, masks, ws)
+        tracemalloc.start()
+        try:
+            _forward_batch(x, params, masks, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"forward peak {peak / 2**20:.1f} MiB"
 
     def test_eval_mode_is_pure(self):
         patch, params = random_patch(3), init_params(3)
@@ -213,8 +228,13 @@ def conv_dx_col2im(delta, w, x_shape):
 
 
 def backward_batch_col2im(trace, params, dl_dt):
-    """_backward_batch with full-size relu masks and the col2im input gradient."""
+    """_backward_batch with full-size relu masks and the col2im input gradient.
+
+    The conv outputs behind the masks are recomputed from the trace's im2col
+    matrices, since the trace does not keep them."""
     batch = trace.z.shape[0]
+    pre1 = _conv_gemm(trace.cols1, params.conv1_w, params.conv1_b, (28, 28, batch))
+    pre2 = _conv_gemm(trace.cols2, params.conv2_w, params.conv2_b, (10, 10, batch))
     dz = dl_dt * _sigmoid(trace.z)
     g = PNetParams()
     g.fc2_w = trace.dropped.T @ dz
@@ -223,10 +243,10 @@ def backward_batch_col2im(trace, params, dl_dt):
     g.fc1_w = dfc1_pre.T @ trace.flat
     g.fc1_b = dfc1_pre.sum(axis=0)
     dpooled2 = (dfc1_pre @ params.fc1_w).reshape(batch, 32, 5, 5).transpose(1, 2, 3, 0)
-    dpre2 = pool2_backward_zeros(dpooled2, trace.idx2, trace.pre2.shape) * (trace.pre2 > 0.0)
+    dpre2 = pool2_backward_zeros(dpooled2, trace.idx2, pre2.shape) * (pre2 > 0.0)
     g.conv2_w, g.conv2_b, _ = _conv_backward(dpre2, trace.cols2, params.conv2_w)
     dpooled1 = conv_dx_col2im(dpre2, params.conv2_w, trace.pooled1.shape)
-    dpre1 = pool2_backward_zeros(dpooled1, trace.idx1, trace.pre1.shape) * (trace.pre1 > 0.0)
+    dpre1 = pool2_backward_zeros(dpooled1, trace.idx1, pre1.shape) * (pre1 > 0.0)
     g.conv1_w, g.conv1_b, _ = _conv_backward(dpre1, trace.cols1, params.conv1_w)
     return g
 
@@ -248,13 +268,13 @@ class TestBatchBackward:
         pre[4:8, :, :, 1] = 0.0  # four-way zero ties
         pre[8:12, :, :, 2] = -0.0
         pre[12:16, ::3] = 0.0  # zeros planted beside live values
-        pooled, idx = _relu_pool(pre)
+        pooled, idx = _relu_pool(pre.copy())
         dp = rng.normal(size=pooled.shape)
         dp[:, ::4] = 0.0
         dp[:, 1::4] = -0.0
         assert np.any(pooled == 0.0) and np.any(pooled > 0.0)
-        got = _pool2_backward(dp * (pooled > 0.0), idx, pre.shape)
-        want = _pool2_backward(dp, idx, pre.shape) * (pre > 0.0)
+        got = _pool2_backward(dp * (pooled > 0.0), idx)
+        want = _pool2_backward(dp, idx) * (pre > 0.0)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
         np.testing.assert_array_equal(want, pool2_backward_zeros(dp, idx, pre.shape) * (pre > 0.0))

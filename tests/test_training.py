@@ -9,7 +9,16 @@ from visthresh.errors import DataError, NumericError
 from visthresh.features import augment_patch, gaussian_window, mscn_map
 from visthresh.image_io import GrayImage, QualityRecord
 from visthresh.quality_model import predict_quality
-from visthresh.regressor import _OFFSETS, _SHAPES, PARAM_COUNT, PNetParams, backward, forward, init_params
+from visthresh.regressor import (
+    _OFFSETS,
+    _SHAPES,
+    PARAM_COUNT,
+    PNetParams,
+    _conv_gemm,
+    backward,
+    forward,
+    init_params,
+)
 from visthresh.training import (
     AdamState,
     TrainConfig,
@@ -329,6 +338,40 @@ class TestResume:
             training, "_activation_pattern", lambda trace, q_hat, q_target, stage=0: pattern(trace, q_hat, q_target)
         )
         assert resumed == [gradcheck(seed=seed, corrupt_index=index) for seed, index in cases]
+
+
+class TestActivationPattern:
+    def test_non_argmax_zero_crossing_is_no_kink(self):
+        # shift conv2_b[f] so that one conv2 output of a live pool-2 window,
+        # not its argmax, sits at 0; +-h moves it across zero, but the
+        # backward never reads it, so the loss is smooth and the pattern
+        # is the base one
+        rng = np.random.default_rng(5)
+        patch = np.stack([rng.uniform(0, 1, (32, 32)) for _ in range(3)] + [rng.normal(0, 1, (32, 32))])
+        params, e, h = init_params(5), 0.05, 1e-9
+        base = forward(patch, params)
+        pre2 = _conv_gemm(base.cols2, params.conv2_w, params.conv2_b, (10, 10, 1))[..., 0]
+        # (|value|, filter, row, col) of each non-argmax element of a live window
+        candidates = [
+            (abs(pre2[f, r, s]), f, r, s)
+            for f, i, j in zip(*np.nonzero(base.pooled2[..., 0] > 0.0))
+            for q in range(4)
+            for r, s in [(2 * i + q // 2, 2 * j + q % 2)]
+            if q != base.idx2[f, i, j, 0] and pre2[f, r, s] < base.pooled2[f, i, j, 0] - 1e-3
+        ]
+        _, f, r, s = min(candidates)
+        params.conv2_b[f] -= pre2[f, r, s]
+        shifted = forward(patch, params)
+        q_target = predict_quality(e, shifted.threshold, 1.0).q_hat + 0.1
+        base_pattern = branch_pattern(shifted, e, 0.0, q_target)
+        masks = []
+        for step in (h, -h):
+            params.conv2_b[f] += step
+            trace = forward(patch, params)
+            assert all(map(np.array_equal, branch_pattern(trace, e, 0.0, q_target), base_pattern))
+            masks.append(_conv_gemm(trace.cols2, params.conv2_w, params.conv2_b, (10, 10, 1)) > 0.0)
+            params.conv2_b[f] -= step
+        assert not np.array_equal(*masks)
 
 
 class TestConfigValidation:
