@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from visthresh.cli import run
 from visthresh.image_io import GrayImage, save_pgm
 from visthresh.inference import load_map, decimate_map
-from visthresh.synthetic import LAW_T0, LAW_T1, _texture, masking_threshold
+from visthresh.synthetic import _texture, masking_threshold
 
 
 def main() -> int:
@@ -70,7 +70,7 @@ def main() -> int:
     for r in range(3):
         for c in range(3):
             footprint = demo[bounds[r] : bounds[r + 1], bounds[c] : bounds[c + 1]]
-            t_star = masking_threshold(footprint, LAW_T0, LAW_T1)
+            t_star = masking_threshold(footprint)
             db = 20.0 * np.log10(t_star)
             lines.append(f"{r},{c},{db:.6f}")
     gt_path = out / "gt.csv"

@@ -15,7 +15,6 @@ from .evaluation import (
 )
 from .features import (
     FeatureMaps,
-    GaussianWindow,
     augment_patch,
     feature_planes,
     gaussian_window,
@@ -66,8 +65,8 @@ __all__ = [
     "DataError", "NumericError",
     "EvalResult", "MonotoneCubic", "PairedData", "evaluate", "fit_monotonic_cubic",
     "intensity_histogram", "load_groundtruth", "pair_with_map", "plcc", "rmse",
-    "FeatureMaps", "GaussianWindow", "augment_patch", "feature_planes",
-    "gaussian_window", "local_moments", "mscn_map",
+    "FeatureMaps", "augment_patch", "feature_planes", "gaussian_window",
+    "local_moments", "mscn_map",
     "GrayImage", "ManifestRecord", "QualityRecord", "load_manifest", "load_pgm",
     "load_quality_records", "normalize_score", "save_pgm",
     "ThresholdMap", "decimate_map", "export_map", "load_map", "normalize_map", "predict_map",

@@ -100,13 +100,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     tmap = load_map(args.pred)
     gt = load_groundtruth(args.gt)
-    if gt.shape != tmap.values.shape:
-        if gt.shape[0] > tmap.grid_rows or gt.shape[1] > tmap.grid_cols:
-            raise DataError(
-                f"ground truth {gt.shape} finer than predicted map "
-                f"{tmap.values.shape}; predict with a smaller stride"
-            )
-        tmap = decimate_map(tmap, gt.shape[0], gt.shape[1])
+    tmap = decimate_map(tmap, *gt.shape)
     result = evaluate(pair_with_map(gt, tmap), band=args.band)
     Path(args.out).write_text(
         json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"

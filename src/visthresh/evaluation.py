@@ -269,13 +269,13 @@ def evaluate(data: PairedData, band: tuple[float, float] | None = None) -> EvalR
     )
 
 
-def intensity_histogram(images, stride: int = 16) -> np.ndarray:
-    """256-bin histogram of mean patch luminance (0..255 scale) over patch grids."""
+def intensity_histogram(images: list[GrayImage]) -> np.ndarray:
+    """256-bin histogram of mean patch luminance (0..255 scale) over stride-16 patch grids."""
     counts = np.zeros(256, dtype=np.int64)
     for img in images:
-        arr = img.pixels if isinstance(img, GrayImage) else np.asarray(img, dtype=np.float64)
-        for row in patch_grid(arr.shape[0], stride):
-            for col in patch_grid(arr.shape[1], stride):
+        arr = img.pixels
+        for row in patch_grid(arr.shape[0], 16):
+            for col in patch_grid(arr.shape[1], 16):
                 mean = arr[row : row + PATCH_SIZE, col : col + PATCH_SIZE].mean()
                 counts[min(int(np.floor(mean * 255.0 + 0.5)), 255)] += 1
     return counts

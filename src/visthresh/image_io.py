@@ -141,7 +141,7 @@ def load_pgm(path) -> GrayImage:
 
 def save_pgm(img: GrayImage, path) -> None:
     """Write a GrayImage as binary PGM, quantizing with round-half-up to 8 bits."""
-    pixels = img.pixels if isinstance(img, GrayImage) else GrayImage(img).pixels
+    pixels = img.pixels
     quantized = np.floor(pixels * 255.0 + 0.5).astype(np.uint8)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + quantized.tobytes())

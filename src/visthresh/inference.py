@@ -165,7 +165,7 @@ def decimate_map(tmap: ThresholdMap, target_rows: int, target_cols: int) -> Thre
     if target_rows > tmap.grid_rows or target_cols > tmap.grid_cols:
         raise DataError(
             f"target grid {target_rows}x{target_cols} exceeds source "
-            f"{tmap.grid_rows}x{tmap.grid_cols}"
+            f"{tmap.grid_rows}x{tmap.grid_cols}; predict the map with a smaller stride"
         )
     row_edges = _bin_edges(tmap.grid_rows, target_rows)
     col_edges = _bin_edges(tmap.grid_cols, target_cols)

@@ -173,12 +173,13 @@ def _ws_buffer(ws: dict | None, key: str, shape: tuple) -> np.ndarray:
     return buf
 
 
-def _im2col(x, k, ws=None, tag=""):
-    """im2col matrix (C*K*K, OH*OW*B) of batch-last input (C, H, W, B).
+def _im2col(x, ws=None, tag=""):
+    """im2col matrix (C*K*K, OH*OW*B) of batch-last input (C, H, W, B), K = KERNEL_SIZE.
 
     The (c, u, v) row order matches the C-order ravel of (F, C, K, K)
     filters; each kernel-offset copy spans OW*B contiguous values at a time.
     """
+    k = KERNEL_SIZE
     c, h, w_, batch = x.shape
     oh, ow = h - k + 1, w_ - k + 1
     x3 = x.reshape(c, h, w_ * batch)
@@ -262,10 +263,10 @@ def _pool2_backward(dpool, idx):
     return dx
 
 
-def dropout_mask(seed: int, batch: int = 1) -> np.ndarray:
-    """Inverted-dropout masks: kept units scaled by 1/(1-rate), drawn per row."""
+def dropout_mask(seed) -> np.ndarray:
+    """One sample's (1, FC1_NODES) inverted-dropout mask: kept units scaled by 1/(1-rate)."""
     rng = np.random.default_rng(seed)
-    keep = rng.random((batch, FC1_NODES)) >= DROPOUT_RATE
+    keep = rng.random((1, FC1_NODES)) >= DROPOUT_RATE
     return keep / (1.0 - DROPOUT_RATE)
 
 
@@ -301,9 +302,9 @@ def _forward_batch(
 ) -> ForwardTrace:
     batch = x.shape[0]
     xl = np.ascontiguousarray(x.transpose(1, 2, 3, 0))  # batch-last
-    cols1 = _im2col(xl, KERNEL_SIZE, ws, "c1.")
+    cols1 = _im2col(xl, ws, "c1.")
     pooled1, idx1 = _relu_pool(_conv_gemm(cols1, params.conv1_w, params.conv1_b, (28, 28, batch)))
-    cols2 = _im2col(pooled1, KERNEL_SIZE, ws, "c2.")
+    cols2 = _im2col(pooled1, ws, "c2.")
     pooled2, idx2 = _relu_pool(_conv_gemm(cols2, params.conv2_w, params.conv2_b, (10, 10, batch)))
     flat = _flatten(pooled2)
     fc1_pre, dropped, z, t = _head(flat, params, masks)
@@ -403,7 +404,7 @@ def _pooled_map(x: np.ndarray, params: PNetParams) -> np.ndarray:
     pooled1 = np.empty((CONV1_FILTERS, oh // 2, ow // 2))
     for top in range(0, oh, STRIP_ROWS):
         bottom = min(top + STRIP_ROWS, oh)
-        cols = _im2col(x[:, top : bottom + k - 1, :, None], k)
+        cols = _im2col(x[:, top : bottom + k - 1, :, None])
         pre1 = _conv_gemm(cols, params.conv1_w, params.conv1_b, (bottom - top, ow, 1))
         _pool2_values(pre1[..., 0], out=pooled1[:, top // 2 : bottom // 2])
     np.maximum(pooled1, 0.0, out=pooled1)
@@ -411,22 +412,20 @@ def _pooled_map(x: np.ndarray, params: PNetParams) -> np.ndarray:
     return np.maximum(_pool2_values(pre2), 0.0)
 
 
-def lattice_thresholds(x: np.ndarray, params: PNetParams, rows=None) -> np.ndarray:
+def lattice_thresholds(x: np.ndarray, params: PNetParams, rows) -> np.ndarray:
     """Eval-mode thresholds of the patches of x whose origin is a multiple of 4.
 
     x is a (4, 4m + 28, 4n + 28) feature image; cell (i, j) of the (m, n)
-    lattice is the threshold of the patch at pixel (4i, 4j).  rows (default
-    all m) picks the lattice rows returned, in that order.  The head runs
-    once per row on all n cells of it, so every GEMM's shape is fixed by
-    the shape of x and a cell's bits do not depend on which rows are asked
-    for.  A cell equals the single-patch forward to about 1e-15 relative:
-    the convolutions sum in another order, every other operation is the
-    same.
+    lattice is the threshold of the patch at pixel (4i, 4j).  rows picks
+    the lattice rows returned, in that order.  The head runs once per row
+    on all n cells of it, so every GEMM's shape is fixed by the shape of x
+    and a cell's bits do not depend on which rows are asked for.  A cell
+    equals the single-patch forward to about 1e-15 relative: the
+    convolutions sum in another order, every other operation is the same.
     """
     pooled = _pooled_map(x, params)
     windows = np.lib.stride_tricks.sliding_window_view(pooled, (5, 5), axis=(1, 2))
-    m, n = windows.shape[1:3]
-    rows = range(m) if rows is None else rows
+    n = windows.shape[2]
     out = np.empty((len(rows), n))
     for k, i in enumerate(rows):
         flat = windows[:, i].transpose(1, 0, 2, 3).reshape(n, FLAT_SIZE)

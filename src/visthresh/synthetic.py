@@ -28,7 +28,7 @@ from .errors import DataError
 from .features import PATCH_SIZE, patch_grid
 # load_pgm is unused here but stays bound: bench/tracing.py wraps synthetic.load_pgm
 from .image_io import GrayImage, load_pgm, read_csv_rows, save_pgm, write_manifest
-from .quality_model import mean_abs_error
+from .quality_model import mean_abs_error, predict_quality
 
 # the fixed generating law and crop geometry
 NOISE_AMPLITUDES = (0.01, 0.03, 0.06, 0.10)
@@ -50,9 +50,9 @@ class SynthConfig:
             raise DataError(f"seed must be non-negative, got {self.seed}")
 
 
-def masking_threshold(patch: np.ndarray, t0: float, t1: float) -> float:
-    """Generating threshold: floor plus a contrast term (population std)."""
-    return t0 + t1 * float(np.std(patch))
+def masking_threshold(patch: np.ndarray) -> float:
+    """Generating threshold: floor LAW_T0 plus LAW_T1 times the contrast (population std)."""
+    return LAW_T0 + LAW_T1 * float(np.std(patch))
 
 
 def _quantize(arr: np.ndarray) -> np.ndarray:
@@ -104,14 +104,14 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
                 pid = f"img{i:04d}_r{r:03d}_c{c:03d}"
                 ref_crop = ref[r : r + PATCH_SIZE, c : c + PATCH_SIZE]
                 save_pgm(GrayImage(ref_crop), out / "ref" / f"{pid}.pgm")
-                t_star = masking_threshold(ref_crop, LAW_T0, LAW_T1)
+                t_star = masking_threshold(ref_crop)
                 oracle.append(f"{pid},{t_star!r}")
                 for ai, dist in enumerate(distorted):
                     dist_crop = dist[r : r + PATCH_SIZE, c : c + PATCH_SIZE]
                     dist_name = f"{pid}_a{ai}.pgm"
                     save_pgm(GrayImage(dist_crop), out / "dist" / dist_name)
                     e = mean_abs_error(ref_crop, dist_crop)
-                    q = 1.0 - math.exp(-ALPHA_TRUE * e / t_star)
+                    q = predict_quality(e, t_star, ALPHA_TRUE).q_hat
                     rows.append(
                         {
                             "reference": f"ref/{pid}.pgm",

@@ -58,6 +58,8 @@ PREDICT_CHUNK = 32
 # to near a kink
 GRADCHECK_H = 1e-6
 KINK_H_FLOOR = 1e-10
+# the largest relative gap between analytic and numeric gradients it passes
+GRADCHECK_TOLERANCE = 1e-4
 # Adam's standard constants (Kingma and Ba, arXiv 1412.6980)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # samples with a smaller patch error carry no threshold gradient
@@ -105,17 +107,15 @@ class TrainReport:
     final_alpha: float = 1.0
     holdout_indices: list = field(default_factory=list)
 
-    def to_dict(self, config: TrainConfig | None = None) -> dict:
-        out = {
+    def to_dict(self, config: TrainConfig) -> dict:
+        return {
             "train_loss": self.train_loss,
             "holdout_loss": [v if v is None or math.isfinite(v) else None for v in self.holdout_loss],
             "epoch_seconds": self.epoch_seconds,
             "final_alpha": self.final_alpha,
             "holdout_indices": self.holdout_indices,
+            "config": asdict(config),
         }
-        if config is not None:
-            out["config"] = asdict(config)
-        return out
 
 
 @dataclass
@@ -211,11 +211,9 @@ def _stack_patches(samples: list[TrainingSample], indices) -> np.ndarray:
 
 
 def predict_sample_thresholds(
-    samples: list[TrainingSample], params: PNetParams, indices=None, ws: dict | None = None
+    samples: list[TrainingSample], params: PNetParams, indices, ws: dict | None = None
 ) -> np.ndarray:
-    """Eval-mode thresholds for the given samples (all of them by default)."""
-    if indices is None:
-        indices = range(len(samples))
+    """Eval-mode thresholds for the samples at the given indices."""
     indices = list(indices)
     out = np.empty(len(indices))
     if ws is None:
@@ -227,7 +225,7 @@ def predict_sample_thresholds(
     return out
 
 
-def _mean_holdout_loss(samples, indices, params, alpha, ws=None) -> float | None:
+def _mean_holdout_loss(samples, indices, params, alpha, ws) -> float | None:
     if not indices:
         return None
     thresholds = predict_sample_thresholds(samples, params, indices, ws=ws)
@@ -338,7 +336,6 @@ def _resume(base: ForwardTrace, patch: np.ndarray, params: PNetParams, stage: in
 def gradcheck(
     seed: int = 1,
     n_coords: int = 200,
-    tolerance: float = 1e-4,
     corrupt_index: int | None = None,
 ) -> GradCheckReport:
     """Compare analytic full-pipeline gradients against central differences.
@@ -428,6 +425,6 @@ def gradcheck(
         seed=seed,
         n_coords=len(coords),
         max_rel_error=float(max_rel),
-        passed=bool(max_rel < tolerance and stable_all),
+        passed=bool(max_rel < GRADCHECK_TOLERANCE and stable_all),
         refined=refined,
     )

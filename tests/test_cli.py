@@ -188,7 +188,7 @@ class TestEvaluate:
         assert code == 2
         assert str(gt) in capsys.readouterr().err
 
-    def test_finer_gt_than_map_is_data_error(self, prediction, tmp_path):
+    def test_finer_gt_than_map_is_data_error(self, prediction, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         lines = ["row,col,threshold_db"]
         for r in range(9):
@@ -198,6 +198,9 @@ class TestEvaluate:
         code = run(["evaluate", "--pred", str(prediction), "--gt", str(gt),
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
+        err = capsys.readouterr().err
+        assert "target grid 9x9 exceeds source" in err
+        assert "smaller stride" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(

@@ -317,13 +317,13 @@ class TestEvaluate:
 
 class TestIntensityHistogram:
     def test_constant_half_gray(self):
-        counts = intensity_histogram([GrayImage(np.full((32, 32), 0.5))], stride=16)
+        counts = intensity_histogram([GrayImage(np.full((32, 32), 0.5))])
         assert counts[128] == 1 and counts.sum() == 1
 
     def test_total_count_conservation(self):
         rng = np.random.default_rng(1)
         imgs = [GrayImage(rng.uniform(0, 1, (64, 48))) for _ in range(3)]
-        counts = intensity_histogram(imgs, stride=16)
+        counts = intensity_histogram(imgs)
         # origins: rows {0,16,32}, cols {0,16} -> 6 patches per image
         assert counts.sum() == 18
 
@@ -331,7 +331,7 @@ class TestIntensityHistogram:
         # origins {0, 8} per axis: the stride misses the border, which
         # gets its own patch
         img = GrayImage(np.tile(np.linspace(0.0, 1.0, 40), (40, 1)))
-        counts = intensity_histogram([img], stride=16)
+        counts = intensity_histogram([img])
         assert counts.sum() == 4
         right = img.pixels[:32, 8:40].mean()
         assert counts[min(int(np.floor(right * 255.0 + 0.5)), 255)] == 2
@@ -342,10 +342,10 @@ class TestIntensityHistogram:
         rng = np.random.default_rng(11)
         raw = np.tile(np.linspace(0.05, 0.95, 64), (64, 1)) + rng.uniform(-0.05, 0.05, (64, 64))
         img = np.floor(np.clip(raw, 0, 1) * 255.0 + 0.5) / 255.0
-        counts = intensity_histogram([GrayImage(img)], stride=8)
+        counts = intensity_histogram([GrayImage(img)])
         expected = np.zeros(256, dtype=int)
-        for r in range(0, 33, 8):
-            for c in range(0, 33, 8):
+        for r in range(0, 33, 16):
+            for c in range(0, 33, 16):
                 total = 0.0
                 for i in range(32):
                     for j in range(32):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from visthresh.errors import DataError
 from visthresh.features import (
     DEFAULT_EPSILON,
+    DEFAULT_SIGMA,
+    DEFAULT_WINDOW_SIZE,
     augment_patch,
     gaussian_window,
     local_moments,
@@ -17,23 +19,21 @@ from conftest import brute_force_maps
 
 
 class TestGaussianWindow:
-    @pytest.mark.parametrize("size, sigma", [(3, 0.5), (7, 7 / 6), (11, 3.0)])
+    @pytest.mark.parametrize("size, sigma", [(7, 7 / 6)])
     def test_weights_sum_to_one(self, size, sigma):
-        w = gaussian_window(size, sigma)
-        assert abs(w.weights.sum() - 1.0) < 1e-12
+        assert (DEFAULT_WINDOW_SIZE, DEFAULT_SIGMA) == (size, sigma)
+        w = gaussian_window()
+        assert w.shape == (size, size)
+        assert abs(w.sum() - 1.0) < 1e-12
 
     def test_symmetry(self):
-        w = gaussian_window(7, 7 / 6).weights
+        w = gaussian_window()
         np.testing.assert_array_equal(w, w[::-1, :])
         np.testing.assert_array_equal(w, w[:, ::-1])
         np.testing.assert_array_equal(w, w.T)
 
     def test_all_positive(self):
-        assert np.all(gaussian_window(9, 2.0).weights > 0)
-
-    def test_huge_sigma_is_uniform(self):
-        w = gaussian_window(3, 1e6).weights
-        assert np.max(np.abs(w - 1.0 / 9.0)) < 1e-6
+        assert np.all(gaussian_window() > 0)
 
     def test_center_weight_matches_direct_evaluation(self):
         # independent evaluation of the normalized Gaussian formula
@@ -43,17 +43,7 @@ class TestGaussianWindow:
             for j in range(size):
                 total += math.exp(-((i - 3) ** 2 + (j - 3) ** 2) / (2 * sigma**2))
         expected_center = 1.0 / total  # exp(0) / sum
-        w = gaussian_window(size, sigma)
-        assert abs(w.weights[3, 3] - expected_center) < 1e-15
-
-    @pytest.mark.parametrize("size", [2, 1, 4])
-    def test_rejects_bad_size(self, size):
-        with pytest.raises(DataError):
-            gaussian_window(size, 1.0)
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(DataError):
-            gaussian_window(7, 0.0)
+        assert abs(gaussian_window()[3, 3] - expected_center) < 1e-15
 
 
 class TestLocalMoments:
@@ -65,7 +55,7 @@ class TestLocalMoments:
 
     def test_window_larger_than_image(self):
         with pytest.raises(DataError, match="window"):
-            local_moments(np.zeros((5, 5)), gaussian_window(7, 7 / 6))
+            local_moments(np.zeros((5, 5)), gaussian_window())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
@@ -73,7 +63,7 @@ class TestLocalMoments:
         img = rng.uniform(0.0, 1.0, (16, 16))
         w = gaussian_window()
         maps = local_moments(img, w)
-        mean_o, var_o, _ = brute_force_maps(img, w.weights, DEFAULT_EPSILON)
+        mean_o, var_o, _ = brute_force_maps(img, w, DEFAULT_EPSILON)
         assert np.max(np.abs(maps.mean_map - mean_o)) < 1e-10
         assert np.max(np.abs(maps.var_map - var_o)) < 1e-10
 
@@ -109,23 +99,8 @@ class TestMscnMap:
         img = rng.uniform(0.0, 1.0, (16, 16))
         w = gaussian_window()
         maps = mscn_map(img, w)
-        _, _, mscn_o = brute_force_maps(img, w.weights, DEFAULT_EPSILON)
+        _, _, mscn_o = brute_force_maps(img, w, DEFAULT_EPSILON)
         assert np.max(np.abs(maps.mscn_map - mscn_o)) < 1e-10
-
-    def test_scale_invariance_with_tiny_epsilon(self):
-        rng = np.random.default_rng(9)
-        img = rng.uniform(0.2, 0.8, (16, 16))
-        w = gaussian_window()
-        base = mscn_map(img, w, epsilon=1e-12)
-        assert np.min(local_moments(img, w).var_map) >= 1e-4
-        for k in (0.5, 1.2):
-            scaled = mscn_map(k * img, w, epsilon=1e-12)
-            rel = np.abs(scaled.mscn_map - base.mscn_map) / np.abs(base.mscn_map)
-            assert np.max(rel) < 1e-3
-
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(DataError, match="epsilon"):
-            mscn_map(np.zeros((16, 16)), gaussian_window(), epsilon=0.0)
 
     @pytest.mark.parametrize("shape", [(7, 9), (32, 32), (257, 300)])
     def test_bytes_equal_two_pad_path(self, shape):
@@ -134,9 +109,9 @@ class TestMscnMap:
         w = gaussian_window()
 
         def windowed_sum(arr):
-            padded = np.pad(arr, w.size // 2, mode="reflect")
-            windows = np.lib.stride_tricks.sliding_window_view(padded, w.weights.shape)
-            return np.einsum("xyuv,uv->xy", windows, w.weights)
+            padded = np.pad(arr, len(w) // 2, mode="reflect")
+            windows = np.lib.stride_tricks.sliding_window_view(padded, w.shape)
+            return np.einsum("xyuv,uv->xy", windows, w)
 
         mean = windowed_sum(img)
         var = np.maximum(windowed_sum(img * img) - mean * mean, 0.0)

@@ -239,7 +239,7 @@ class TestLatticeThresholds:
     def test_requested_rows_equal_all_rows_bit_for_bit(self, trained_like_params):
         # 13x7 lattice cells; rows out of order and repeated
         x = np.random.default_rng(8).standard_normal((4, 4 * 13 + 28, 4 * 7 + 28))
-        every = lattice_thresholds(x, trained_like_params)
+        every = lattice_thresholds(x, trained_like_params, range(13))
         assert every.shape == (13, 7)
         rows = [12, 0, 5, 5, 9]
         np.testing.assert_array_equal(lattice_thresholds(x, trained_like_params, rows), every[rows])
@@ -248,9 +248,12 @@ class TestLatticeThresholds:
 
 class TestDecimateMap:
     def test_identity_at_same_size(self):
-        tmap = make_map(np.arange(12.0).reshape(3, 4) + 1.0)
+        # evaluate decimates to the ground truth's grid even when it is the map's own
+        lum = np.random.default_rng(3).uniform(0.0, 255.0, (3, 4))
+        tmap = make_map(np.arange(12.0).reshape(3, 4) + 1.0, mean_luminance=lum)
         out = decimate_map(tmap, 3, 4)
         np.testing.assert_array_equal(out.values, tmap.values)
+        assert out.mean_luminance.tobytes() == lum.tobytes()
 
     def test_constant_map(self):
         tmap = make_map(np.full((5, 5), 2.5))

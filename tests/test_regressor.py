@@ -85,7 +85,8 @@ class TestForward:
         # with the im2col scratch reused, the trace holds no conv output and
         # the relu runs in place: one 6.1 MiB conv1 output at a time
         x = np.stack([random_patch(i) for i in range(32)])
-        params, masks, ws = init_params(0), dropout_mask(0, 32), {}
+        params, ws = init_params(0), {}
+        masks = np.concatenate([dropout_mask([0, i]) for i in range(32)])
         _forward_batch(x, params, masks, ws)
         tracemalloc.start()
         try:
@@ -157,8 +158,8 @@ class TestPool2:
 
 class TestDropout:
     def test_inverted_scaling_values(self):
-        mask = dropout_mask(123, batch=4)
-        assert mask.shape == (4, 100)
+        mask = dropout_mask(123)
+        assert mask.shape == (1, 100)
         assert set(np.unique(mask)).issubset({0.0, 2.0})
 
     def test_seeded(self):
@@ -254,7 +255,8 @@ def backward_batch_col2im(trace, params, dl_dt):
 def batch_trace(batch, seed=0):
     x = np.stack([random_patch(seed * 1000 + i) for i in range(batch)])
     params = init_params(seed)
-    trace = _forward_batch(x, params, dropout_mask(seed, batch), ws={})
+    masks = np.concatenate([dropout_mask([seed, i]) for i in range(batch)])
+    trace = _forward_batch(x, params, masks, ws={})
     return trace, params, np.random.default_rng(seed).normal(size=batch)
 
 

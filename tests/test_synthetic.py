@@ -9,7 +9,6 @@ from visthresh.image_io import load_manifest, load_pgm
 from visthresh.synthetic import (
     ALPHA_TRUE,
     LAW_T0,
-    LAW_T1,
     NOISE_AMPLITUDES,
     SynthConfig,
     generate,
@@ -36,12 +35,12 @@ class TestConfig:
 
 class TestMaskingLaw:
     def test_constant_patch_hits_floor(self):
-        assert masking_threshold(np.full((32, 32), 0.5), 0.02, 0.5) == 0.02
+        assert masking_threshold(np.full((32, 32), 0.5)) == 0.02
 
     def test_contrast_raises_threshold(self, rng):
         flat = np.full((32, 32), 0.5)
         busy = rng.uniform(0.0, 1.0, (32, 32))
-        assert masking_threshold(busy, 0.02, 0.5) > masking_threshold(flat, 0.02, 0.5)
+        assert masking_threshold(busy) > masking_threshold(flat)
 
 
 class TestGenerate:
@@ -93,7 +92,7 @@ class TestOracle:
         oracle = load_oracle(tmp_path / "oracle.csv")
         for rec in load_manifest(manifest):
             patch = load_pgm(rec.reference_path).pixels
-            expected = masking_threshold(patch, LAW_T0, LAW_T1)
+            expected = masking_threshold(patch)
             assert oracle[rec.reference_path.stem] == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize(

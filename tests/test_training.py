@@ -234,7 +234,8 @@ class TestTrain:
         assert len(report.epoch_seconds) == 2
         d = report.to_dict(cfg)
         assert d["config"]["learning_rate"] == cfg.learning_rate
-        thresholds = predict_sample_thresholds(build_samples(records, cfg), params)
+        samples = build_samples(records, cfg)
+        thresholds = predict_sample_thresholds(samples, params, range(len(samples)))
         assert np.all(thresholds >= 1e-3)
 
 
@@ -279,7 +280,8 @@ class TestGradCheck:
         # with the floor at the step there is no room to refine: the
         # coordinate straddling the kink fails even under a loose tolerance
         monkeypatch.setattr(training, "KINK_H_FLOOR", 1e-6)
-        report = gradcheck(seed=101010, tolerance=1.0)
+        monkeypatch.setattr(training, "GRADCHECK_TOLERANCE", 1.0)
+        report = gradcheck(seed=101010)
         assert report.max_rel_error < 1.0
         assert not report.passed and report.refined == 0
 
