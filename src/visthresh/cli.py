@@ -1,6 +1,6 @@
 """Command-line pipeline: synth, train, predict, evaluate, gradcheck, histogram.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error or out of memory, 3 numeric failure.
 Every subcommand is reproducible from its flags; all randomness is seeded.
 """
 
@@ -44,8 +44,8 @@ def _parse_band(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise _UsageError(f"--band expects numbers, got {text!r}") from None
-    if lo > hi:
-        raise _UsageError(f"--band low bound exceeds high bound: {text}")
+    if not lo <= hi:  # also rejects a NaN bound
+        raise _UsageError(f"--band expects LO <= HI, got {text!r}")
     return lo, hi
 
 
@@ -138,20 +138,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with a known masking law")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--n", type=int, default=200, help="number of base textures")
-    p.add_argument("--size", type=int, default=64, help="texture side length in pixels")
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    p.add_argument("--n", type=int, default=SynthConfig.n_images, help="number of base textures")
+    p.add_argument("--size", type=int, default=SynthConfig.image_size,
+                   help="texture side length in pixels")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train the threshold regressor on a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--stride", type=int, default=16, help="training patch stride")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--holdout", type=float, default=0.2)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--stride", type=int, default=TrainConfig.patch_stride,
+                   help="training patch stride")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--holdout", type=float, default=TrainConfig.holdout_fraction)
     p.add_argument("--report", default=None, help="optional training-report JSON path")
     p.set_defaults(func=_cmd_train)
 
@@ -214,6 +216,9 @@ def run(argv) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

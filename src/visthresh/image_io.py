@@ -40,14 +40,6 @@ class GrayImage:
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
 class ManifestRecord:
@@ -139,12 +131,16 @@ def load_pgm(path) -> GrayImage:
     return GrayImage(pixels)
 
 
+def quantize(pixels: np.ndarray) -> np.ndarray:
+    """8-bit samples of [0, 1] luminance, rounding half up: the bytes save_pgm writes."""
+    return np.floor(pixels * 255.0 + 0.5).astype(np.uint8)
+
+
 def save_pgm(img: GrayImage, path) -> None:
-    """Write a GrayImage as binary PGM, quantizing with round-half-up to 8 bits."""
+    """Write a GrayImage as binary PGM, quantized to 8 bits."""
     pixels = img.pixels
-    quantized = np.floor(pixels * 255.0 + 0.5).astype(np.uint8)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + quantized.tobytes())
+    Path(path).write_bytes(header + quantize(pixels).tobytes())
 
 
 def _nul_free_lines(fh, path: Path):

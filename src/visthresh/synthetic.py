@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DataError
 from .features import PATCH_SIZE, patch_grid
 # load_pgm is unused here but stays bound: bench/tracing.py wraps synthetic.load_pgm
-from .image_io import GrayImage, load_pgm, read_csv_rows, save_pgm, write_manifest
+from .image_io import GrayImage, load_pgm, quantize, read_csv_rows, save_pgm, write_manifest
 from .quality_model import mean_abs_error, predict_quality
 
 # the fixed generating law and crop geometry
@@ -53,11 +53,6 @@ class SynthConfig:
 def masking_threshold(patch: np.ndarray) -> float:
     """Generating threshold: floor LAW_T0 plus LAW_T1 times the contrast (population std)."""
     return LAW_T0 + LAW_T1 * float(np.std(patch))
-
-
-def _quantize(arr: np.ndarray) -> np.ndarray:
-    """Snap to the 8-bit lattice exactly as save_pgm/load_pgm will."""
-    return np.floor(arr * 255.0 + 0.5) / 255.0
 
 
 def _texture(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -94,9 +89,10 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
     oracle = ["patch_id,t_star"]
     grid = patch_grid(cfg.image_size, CROP_STRIDE)
     for i in range(cfg.n_images):
-        ref = _quantize(_texture(rng, cfg.image_size))
+        # snapped to the 8-bit lattice, so the crops are the pixels load_pgm reads back
+        ref = quantize(_texture(rng, cfg.image_size)) / 255.0
         distorted = [
-            _quantize(np.clip(ref + rng.uniform(-a, a, ref.shape), 0.0, 1.0))
+            quantize(np.clip(ref + rng.uniform(-a, a, ref.shape), 0.0, 1.0)) / 255.0
             for a in NOISE_AMPLITUDES
         ]
         for r in grid:

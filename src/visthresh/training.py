@@ -50,10 +50,6 @@ from .regressor import (
 )
 
 
-# samples per eval-mode forward in predict_sample_thresholds: the default
-# training batch size, so the holdout pass needs no more im2col scratch
-# than a training step (the thresholds do not depend on it)
-PREDICT_CHUNK = 32
 # gradcheck's central-difference step, and the smallest step it shrinks
 # to near a kink
 GRADCHECK_H = 1e-6
@@ -81,8 +77,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.patch_stride, self.batch_size, self.epochs) < 1:
             raise DataError("patch_stride, batch_size and epochs must be positive")
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise DataError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.holdout_fraction < 1.0:
@@ -185,8 +181,12 @@ def adam_step(params: PNetParams, grads: PNetParams, state: AdamState, cfg: Trai
     step *= cfg.learning_rate
     step /= denom
     p = np.subtract(params.vec, step, out=step)
-    if not np.all(np.isfinite(p)):
-        raise NumericError(f"Adam step {t} produced non-finite parameters")
+    try:  # so every later math.exp(params.a) returns a positive float
+        usable = bool(np.all(np.isfinite(p))) and math.exp(p[-1]) > 0.0
+    except OverflowError:
+        usable = False
+    if not usable:
+        raise NumericError(f"Adam step {t}: non-finite parameters or exp(a) out of range, a = {p[-1]}")
     return PNetParams(p), AdamState(m=m, v=v)
 
 
@@ -218,8 +218,11 @@ def predict_sample_thresholds(
     out = np.empty(len(indices))
     if ws is None:
         ws = {}
-    for start in range(0, len(indices), PREDICT_CHUNK):
-        batch = indices[start : start + PREDICT_CHUNK]
+    # chunks of the default training batch size need no more im2col scratch
+    # than a training step; the thresholds do not depend on the chunk size
+    chunk = TrainConfig.batch_size
+    for start in range(0, len(indices), chunk):
+        batch = indices[start : start + chunk]
         trace = _forward_batch(_stack_patches(samples, batch), params, None, ws=ws)
         out[start : start + len(batch)] = trace.t
     return out
@@ -232,7 +235,7 @@ def _mean_holdout_loss(samples, indices, params, alpha, ws) -> float | None:
     total = 0.0
     for t, i in zip(thresholds, indices):
         q_hat = predict_quality(samples[i].e, float(t), alpha).q_hat
-        total += abs(samples[i].q_target - q_hat)
+        total += sample_loss(samples[i].q_target, q_hat)[0]
     return total / len(indices)
 
 
@@ -334,7 +337,7 @@ def _resume(base: ForwardTrace, patch: np.ndarray, params: PNetParams, stage: in
 
 
 def gradcheck(
-    seed: int = 1,
+    seed: int,
     n_coords: int = 200,
     corrupt_index: int | None = None,
 ) -> GradCheckReport:

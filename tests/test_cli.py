@@ -44,6 +44,16 @@ class TestSynth:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_out_of_memory_is_exit_2(self, monkeypatch, tmp_path, capsys):
+        def fake_generate(cfg, out_dir):
+            raise MemoryError("Unable to allocate 74.5 PiB for an array")
+
+        monkeypatch.setattr(cli, "generate", fake_generate)
+        assert run(["synth", "--out", str(tmp_path / "d"), "--n", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "out of memory: Unable to allocate 74.5 PiB for an array"
+        ]
+
 
 class TestTrain:
     def test_checkpoint_and_summary(self, tiny_checkpoint, capsys):
@@ -78,6 +88,20 @@ class TestTrain:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "c.vth").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--epochs", "3", "--lr", "1000"], ["--epochs", "2", "--lr", "800", "--seed", "1"]],
+        ids=["log_scale_overflows", "alpha_underflows_to_zero"],
+    )
+    def test_divergence_is_numeric_failure(self, flags, tmp_path, capsys):
+        assert run(["synth", "--out", str(tmp_path), "--seed", "1", "--n", "1", "--size", "64"]) == 0
+        capsys.readouterr()
+        code = run(["train", "--manifest", str(tmp_path / "manifest.csv"),
+                    "--out", str(tmp_path / "c.vth")] + flags)
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:")
+
 
 class TestPredict:
     def test_writes_map_files(self, tiny_checkpoint, tmp_path, capsys):
@@ -91,7 +115,7 @@ class TestPredict:
         assert (tmp_path / "map.csv").exists()
         assert (tmp_path / "map.json").exists()
         rendered = load_pgm(tmp_path / "map.pgm")
-        assert rendered.width == 3 and rendered.height == 3
+        assert rendered.pixels.shape == (3, 3)
 
     def test_pgm_flag_not_carried_into_the_next_run(self, tiny_checkpoint, tmp_path):
         img_path = tmp_path / "input.pgm"
@@ -246,6 +270,12 @@ class TestEvaluate:
         code = run(["evaluate", "--pred", str(prediction), "--gt", str(tmp_path / "gt.csv"),
                     "--band", "nope", "--out", str(tmp_path / "r.json")])
         assert code == 1
+
+    def test_nan_band_is_usage_error(self, prediction, tmp_path, capsys):
+        code = run(["evaluate", "--pred", str(prediction), "--gt", str(tmp_path / "gt.csv"),
+                    "--band", "nan,5", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: --band")
 
 
 class TestGradcheckCommand:

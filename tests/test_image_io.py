@@ -63,7 +63,7 @@ class TestLoadPgm:
         path = tmp_path / "comment.pgm"
         path.write_bytes(b"P5\n# made by hand\n2 1\n255\n\x10\x20")
         img = load_pgm(path)
-        assert img.width == 2 and img.height == 1
+        assert img.pixels.shape == (1, 2)
 
 
 class TestSavePgm:

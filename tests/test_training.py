@@ -385,6 +385,8 @@ class TestConfigValidation:
             {"learning_rate": 0.0},
             {"batch_size": 0},
             {"epochs": 0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
