@@ -91,7 +91,7 @@ def _cmd_predict(args) -> int:
         pgm_path = Path(args.out).with_name(Path(args.out).name + ".pgm")
         save_pgm(normalize_map(tmap), pgm_path)
     print(
-        f"predict: {tmap.grid_rows}x{tmap.grid_cols} threshold map "
+        f"predict: {tmap.values.shape[0]}x{tmap.values.shape[1]} threshold map "
         f"(stride {args.stride}) -> {csv_path}, {json_path}"
     )
     return 0

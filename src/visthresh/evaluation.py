@@ -334,5 +334,5 @@ def pair_with_map(gt_grid: np.ndarray, tmap: ThresholdMap) -> PairedData:
     return PairedData(
         x=tmap.values.ravel(),
         y=gt_grid.ravel(),
-        luminance=tmap.mean_luminance.ravel() if tmap.mean_luminance is not None else None,
+        luminance=tmap.mean_luminance.ravel(),
     )

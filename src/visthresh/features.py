@@ -32,7 +32,7 @@ class FeatureMaps:
 
     mean_map: np.ndarray
     var_map: np.ndarray
-    mscn_map: np.ndarray | None = None
+    mscn_map: np.ndarray
 
 
 def gaussian_window() -> np.ndarray:
@@ -55,8 +55,8 @@ def _windowed_sum(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("xyuv,uv->xy", windows, weights)
 
 
-def local_moments(img, window: np.ndarray) -> FeatureMaps:
-    """Per-pixel weighted local mean and variance (clamped at 0) of a pixel array."""
+def mscn_map(img, window: np.ndarray) -> FeatureMaps:
+    """Weighted local mean, variance (clamped at 0) and MSCN maps of a pixel array."""
     arr = np.asarray(img, dtype=np.float64)
     size = len(window)
     if size > min(arr.shape):
@@ -66,15 +66,8 @@ def local_moments(img, window: np.ndarray) -> FeatureMaps:
     padded = np.pad(arr, size // 2, mode="reflect")
     mean = _windowed_sum(padded, window)
     var = np.maximum(_windowed_sum(padded * padded, window) - mean * mean, 0.0)
-    return FeatureMaps(mean_map=mean, var_map=var)
-
-
-def mscn_map(img, window: np.ndarray) -> FeatureMaps:
-    """All three feature maps of a pixel array; MSCN = (I - mean) / (sqrt(var) + eps)."""
-    arr = np.asarray(img, dtype=np.float64)
-    moments = local_moments(arr, window)
-    mscn = (arr - moments.mean_map) / (np.sqrt(moments.var_map) + DEFAULT_EPSILON)
-    return FeatureMaps(mean_map=moments.mean_map, var_map=moments.var_map, mscn_map=mscn)
+    mscn = (arr - mean) / (np.sqrt(var) + DEFAULT_EPSILON)
+    return FeatureMaps(mean_map=mean, var_map=var, mscn_map=mscn)
 
 
 def patch_grid(length: int, stride: int) -> list[int]:
@@ -89,8 +82,6 @@ def patch_grid(length: int, stride: int) -> list[int]:
 
 def feature_planes(maps: FeatureMaps, img) -> tuple[np.ndarray, ...]:
     """The image-sized regressor input planes; the one place their order is written."""
-    if maps.mscn_map is None:
-        raise DataError("feature planes need feature maps including MSCN")
     return (np.asarray(img, dtype=np.float64), maps.mean_map, maps.var_map, maps.mscn_map)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +56,9 @@ class ManifestRecord:
     def __post_init__(self):
         if self.polarity not in POLARITIES:
             raise DataError(f"unknown polarity {self.polarity!r}, expected one of {POLARITIES}")
+        for name in ("raw_score", "score_min", "score_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.score_min < self.score_max:
             raise DataError(f"score_min must be < score_max, got [{self.score_min}, {self.score_max}]")
         if not self.score_min <= self.raw_score <= self.score_max:
@@ -104,8 +108,9 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def load_pgm(path) -> GrayImage:
     """Load a binary 8-bit PGM (P5, maxval 255) as a GrayImage.
 
-    Each 8-bit sample is divided by 255 exactly.  Header comments are
-    accepted on read; files we write never contain them.
+    Each 8-bit sample is divided by 255 exactly.  Header comments, also
+    one right after maxval, are accepted on read; files we write never
+    contain them.
     """
     data = Path(path).read_bytes()
     magic, pos = _read_header_token(data, 0)
@@ -123,7 +128,15 @@ def load_pgm(path) -> GrayImage:
         raise DataError(f"{path}: zero or negative dimensions {width}x{height}")
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}, expected 255")
-    pos += 1  # single whitespace byte after maxval
+    # pgm(5): a comment may follow maxval; it runs through its line end, and
+    # one whitespace byte still has to delimit the raster
+    while data[pos : pos + 1] == b"#":
+        while data[pos : pos + 1] not in (b"\n", b"\r", b""):
+            pos += 1
+        pos += 1
+    if not data[pos : pos + 1].isspace():
+        raise DataError(f"{path}: malformed PGM header, no whitespace byte after maxval")
+    pos += 1
     raster = data[pos : pos + width * height]
     if len(raster) < width * height:
         raise DataError(f"{path}: truncated pixel data, expected {width * height} bytes")

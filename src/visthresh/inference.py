@@ -28,7 +28,7 @@ sidecar.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,8 @@ LATTICE = 4  # origin spacing at which patches share conv outputs (two 2x2 pools
 # (regressor._pooled_map), so a tile pass peaks under 4 MB.  The last tile
 # of an axis may hold TILE_CELLS + 1 cells (128 pixels), see _tiles.
 TILE_CELLS = 24
+# ThresholdMap fields that the JSON sidecar stores under their own names
+GEOMETRY_KEYS = ("origin_stride", "patch_size", "source_width", "source_height")
 
 
 @dataclass(eq=False)
@@ -59,21 +61,13 @@ class ThresholdMap:
     to consumers.
     """
 
-    values: np.ndarray          # (grid_rows, grid_cols), all >= T_MIN
+    values: np.ndarray          # (grid rows, grid cols), all >= T_MIN
     origin_stride: int
     patch_size: int
     source_width: int
     source_height: int
-    mean_luminance: np.ndarray | None = None  # per-cell patch mean on [0, 255]
+    mean_luminance: np.ndarray  # per-cell patch mean on [0, 255], shaped like values
     model_digest: str | None = None
-
-    @property
-    def grid_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def grid_cols(self) -> int:
-        return self.values.shape[1]
 
 
 def _lattice_cells(length: int, phase: int) -> int:
@@ -162,25 +156,18 @@ def decimate_map(tmap: ThresholdMap, target_rows: int, target_cols: int) -> Thre
     """Average the map down to target_rows x target_cols contiguous bins."""
     if target_rows < 1 or target_cols < 1:
         raise DataError("target grid must be at least 1x1")
-    if target_rows > tmap.grid_rows or target_cols > tmap.grid_cols:
+    n_rows, n_cols = tmap.values.shape
+    if target_rows > n_rows or target_cols > n_cols:
         raise DataError(
             f"target grid {target_rows}x{target_cols} exceeds source "
-            f"{tmap.grid_rows}x{tmap.grid_cols}; predict the map with a smaller stride"
+            f"{n_rows}x{n_cols}; predict the map with a smaller stride"
         )
-    row_edges = _bin_edges(tmap.grid_rows, target_rows)
-    col_edges = _bin_edges(tmap.grid_cols, target_cols)
-    return ThresholdMap(
+    row_edges = _bin_edges(n_rows, target_rows)
+    col_edges = _bin_edges(n_cols, target_cols)
+    return replace(
+        tmap,
         values=_block_mean(tmap.values, row_edges, col_edges),
-        origin_stride=tmap.origin_stride,
-        patch_size=tmap.patch_size,
-        source_width=tmap.source_width,
-        source_height=tmap.source_height,
-        mean_luminance=(
-            _block_mean(tmap.mean_luminance, row_edges, col_edges)
-            if tmap.mean_luminance is not None
-            else None
-        ),
-        model_digest=tmap.model_digest,
+        mean_luminance=_block_mean(tmap.mean_luminance, row_edges, col_edges),
     )
 
 
@@ -200,16 +187,11 @@ def export_map(tmap: ThresholdMap, prefix) -> tuple[Path, Path]:
     lines = [",".join(format(v, ".17g") for v in row) for row in tmap.values]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     sidecar = {
-        "grid_rows": tmap.grid_rows,
-        "grid_cols": tmap.grid_cols,
-        "origin_stride": tmap.origin_stride,
-        "patch_size": tmap.patch_size,
-        "source_width": tmap.source_width,
-        "source_height": tmap.source_height,
+        "grid_rows": tmap.values.shape[0],
+        "grid_cols": tmap.values.shape[1],
+        **{k: getattr(tmap, k) for k in GEOMETRY_KEYS},
         "model_digest": tmap.model_digest,
-        "mean_luminance": (
-            tmap.mean_luminance.tolist() if tmap.mean_luminance is not None else None
-        ),
+        "mean_luminance": tmap.mean_luminance.tolist(),
     }
     json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return csv_path, json_path
@@ -230,16 +212,13 @@ def load_map(prefix) -> ThresholdMap:
     try:
         meta = json.loads(json_path.read_text())
         shape = (meta["grid_rows"], meta["grid_cols"])
-        geometry = {
-            k: meta[k] for k in ("origin_stride", "patch_size", "source_width", "source_height")
-        }
-        lum = meta.get("mean_luminance")
-        luminance = np.array(lum, dtype=np.float64) if lum is not None else None
+        geometry = {k: meta[k] for k in GEOMETRY_KEYS}
+        luminance = np.array(meta["mean_luminance"], dtype=np.float64)
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{json_path}: malformed map sidecar ({exc!r})") from None
     if values.shape != shape:
         raise DataError(f"{csv_path}: value grid {values.shape} does not match sidecar {shape}")
-    if luminance is not None and luminance.shape != shape:
+    if luminance.shape != shape:
         raise DataError(
             f"{json_path}: mean_luminance grid {luminance.shape} does not match value grid {shape}"
         )

@@ -190,9 +190,13 @@ class TestEvaluate:
             (".json", lambda text: json.dumps(
                 {**json.loads(text), "mean_luminance": [[128.0, 128.0], [128.0, 128.0]]})),
             (".json", lambda text: json.dumps({**json.loads(text), "mean_luminance": [["a"]]})),
+            (".json", lambda text: json.dumps(
+                {k: v for k, v in json.loads(text).items() if k != "mean_luminance"})),
+            (".json", lambda text: json.dumps({**json.loads(text), "mean_luminance": None})),
         ],
         ids=["csv_non_numeric_cell", "sidecar_not_json", "sidecar_missing_patch_size",
-             "sidecar_luminance_shape", "sidecar_luminance_not_numeric"],
+             "sidecar_luminance_shape", "sidecar_luminance_not_numeric",
+             "sidecar_missing_luminance", "sidecar_null_luminance"],
     )
     def test_malformed_map_is_data_error(self, prediction, tmp_path, capsys, suffix, corrupt):
         bad = prediction.with_name(prediction.name + suffix)

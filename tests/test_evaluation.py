@@ -417,7 +417,7 @@ class TestGroundTruth:
         grid = load_groundtruth(tmp_path / "gt.csv")
         tmap = ThresholdMap(
             values=np.ones((1, 2)), origin_stride=16, patch_size=32,
-            source_width=64, source_height=48,
+            source_width=64, source_height=48, mean_luminance=np.full((1, 2), 128.0),
         )
         with pytest.raises(DataError, match="does not match"):
             pair_with_map(grid, tmap)

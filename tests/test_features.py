@@ -11,7 +11,6 @@ from visthresh.features import (
     DEFAULT_WINDOW_SIZE,
     augment_patch,
     gaussian_window,
-    local_moments,
     mscn_map,
 )
 
@@ -49,20 +48,20 @@ class TestGaussianWindow:
 class TestLocalMoments:
     def test_constant_image(self):
         w = gaussian_window()
-        maps = local_moments(np.full((16, 16), 0.37), w)
+        maps = mscn_map(np.full((16, 16), 0.37), w)
         assert np.max(np.abs(maps.mean_map - 0.37)) < 1e-12
         assert np.max(np.abs(maps.var_map)) < 1e-12
 
     def test_window_larger_than_image(self):
         with pytest.raises(DataError, match="window"):
-            local_moments(np.zeros((5, 5)), gaussian_window())
+            mscn_map(np.zeros((5, 5)), gaussian_window())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         img = rng.uniform(0.0, 1.0, (16, 16))
         w = gaussian_window()
-        maps = local_moments(img, w)
+        maps = mscn_map(img, w)
         mean_o, var_o, _ = brute_force_maps(img, w, DEFAULT_EPSILON)
         assert np.max(np.abs(maps.mean_map - mean_o)) < 1e-10
         assert np.max(np.abs(maps.var_map - var_o)) < 1e-10
@@ -71,8 +70,8 @@ class TestLocalMoments:
         rng = np.random.default_rng(3)
         img = rng.uniform(0.1, 0.5, (16, 16))
         w = gaussian_window()
-        base = local_moments(img, w)
-        shifted = local_moments(img + 0.3, w)
+        base = mscn_map(img, w)
+        shifted = mscn_map(img + 0.3, w)
         assert np.max(np.abs(shifted.mean_map - base.mean_map - 0.3)) < 1e-12
         assert np.max(np.abs(shifted.var_map - base.var_map)) < 1e-12
 
@@ -81,7 +80,7 @@ class TestLocalMoments:
     def test_variance_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         img = rng.uniform(0.0, 1.0, (12, 12))
-        maps = local_moments(img, gaussian_window())
+        maps = mscn_map(img, gaussian_window())
         assert np.all(maps.var_map >= 0.0)
 
 

@@ -65,6 +65,17 @@ class TestLoadPgm:
         img = load_pgm(path)
         assert img.pixels.shape == (1, 2)
 
+    def test_comment_after_maxval(self, tmp_path):
+        # pgm(5): the comment runs through its line end, then one whitespace
+        # byte delimits the raster
+        path = tmp_path / "comment.pgm"
+        path.write_bytes(b"P5\n2 2\n255#note\n\n" + bytes([10, 20, 30, 40]))
+        assert load_pgm(path).pixels.tolist() == [[10 / 255, 20 / 255], [30 / 255, 40 / 255]]
+        # here the delimiter is the first raster byte (10 is a newline), so the raster is short
+        path.write_bytes(b"P5\n2 2\n255#\n" + bytes([10, 20, 30, 40]))
+        with pytest.raises(DataError, match="truncated"):
+            load_pgm(path)
+
 
 class TestSavePgm:
     def test_endpoint_bytes(self, tmp_path):
@@ -194,6 +205,17 @@ class TestManifest:
     def test_score_outside_range_rejected(self, tmp_path):
         (tmp_path / "m.csv").write_text(f"{MANIFEST_HEADER}\na,b,5,0,1,higher_is_worse\n")
         with pytest.raises(DataError):
+            load_manifest(tmp_path / "m.csv")
+
+    @pytest.mark.parametrize(
+        "scores",
+        ["5,0,inf,higher_is_better", "99,0,inf,higher_is_worse", "5,-inf,10,higher_is_worse",
+         "inf,0,inf,higher_is_worse"],
+    )
+    def test_non_finite_score_rejected(self, tmp_path, scores):
+        # an infinite bound would make every target 0, 1 or NaN
+        (tmp_path / "m.csv").write_text(f"{MANIFEST_HEADER}\na,b,{scores}\n")
+        with pytest.raises(DataError, match=r"(raw_score|score_min|score_max) must be finite, got -?inf"):
             load_manifest(tmp_path / "m.csv")
 
     def test_write_then_load(self, tmp_path):

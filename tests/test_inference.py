@@ -68,7 +68,7 @@ class TestPredictMap:
 
     def test_grid_shape(self, test_image, trained_like_params):
         tmap = predict_map(test_image, trained_like_params, stride=16)
-        assert (tmap.grid_rows, tmap.grid_cols) == (3, 3)
+        assert tmap.values.shape == (3, 3)
 
     def test_repeat_runs_bit_identical(self, test_image, trained_like_params):
         a = predict_map(test_image, trained_like_params, stride=32)
