@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from visthresh.cli import run
 from visthresh.image_io import GrayImage, save_pgm
 from visthresh.inference import load_map, decimate_map
-from visthresh.synthetic import _texture, masking_threshold
+from visthresh.synthetic import masking_threshold, texture
 
 
 def main() -> int:
@@ -53,7 +53,7 @@ def main() -> int:
 
     # fresh texture the model has never seen; threshold map at stride 16
     rng = np.random.default_rng(args.seed + 1)
-    demo = _texture(rng, 128)
+    demo = texture(rng, 128)
     demo_path = out / "demo.pgm"
     save_pgm(GrayImage(demo), demo_path)
     prefix = out / "demo_map"

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .features import PATCH_SIZE, patch_grid
-from .image_io import GrayImage, read_csv_rows
+from .features import patch_grid, patch_means
+from .image_io import GrayImage, quantize, read_csv_rows
 from .inference import ThresholdMap
 
 DEFAULT_LUMINANCE_BAND = (10.0, 250.0)
@@ -274,10 +274,8 @@ def intensity_histogram(images: list[GrayImage]) -> np.ndarray:
     counts = np.zeros(256, dtype=np.int64)
     for img in images:
         arr = img.pixels
-        for row in patch_grid(arr.shape[0], 16):
-            for col in patch_grid(arr.shape[1], 16):
-                mean = arr[row : row + PATCH_SIZE, col : col + PATCH_SIZE].mean()
-                counts[min(int(np.floor(mean * 255.0 + 0.5)), 255)] += 1
+        means = patch_means(arr, patch_grid(arr.shape[0], 16), patch_grid(arr.shape[1], 16))
+        counts += np.bincount(quantize(means).ravel(), minlength=256)
     return counts
 
 

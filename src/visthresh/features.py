@@ -9,7 +9,8 @@ feature_planes returns, in that order: raw luminance, local mean, local
 variance, and MSCN.
 
 Every module that cuts patches (training samples, synthetic crops,
-threshold maps, the intensity histogram) places them with patch_grid.
+threshold maps, the intensity histogram) places them with patch_grid and
+takes their means (the error E, the luminance) with patch_means.
 """
 
 from __future__ import annotations
@@ -78,6 +79,17 @@ def patch_grid(length: int, stride: int) -> list[int]:
     if origins[-1] != length - PATCH_SIZE:
         origins.append(length - PATCH_SIZE)
     return origins
+
+
+def patch_means(arr: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
+    """The (len(rows), len(cols)) means of arr's PATCH_SIZE-square windows at those origins.
+
+    Each row of windows is copied into one contiguous (len(cols), 32, 32)
+    array before its mean, so every patch is summed in the same order as
+    arr[r:r+32, c:c+32].mean(), bit for bit.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(arr, (PATCH_SIZE, PATCH_SIZE))
+    return np.stack([windows[row, cols].mean(axis=(1, 2)) for row in rows])
 
 
 def feature_planes(maps: FeatureMaps, img) -> tuple[np.ndarray, ...]:

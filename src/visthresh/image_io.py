@@ -209,16 +209,10 @@ def load_manifest(path) -> list[ManifestRecord]:
             raw_f, lo_f, hi_f = float(raw), float(lo), float(hi)
         except ValueError:
             raise DataError(f"{path}:{lineno}: unparsable number in {row}") from None
-        records.append(
-            ManifestRecord(
-                reference_path=base / ref,
-                distorted_path=base / dist,
-                raw_score=raw_f,
-                score_min=lo_f,
-                score_max=hi_f,
-                polarity=polarity,
-            )
-        )
+        try:
+            records.append(ManifestRecord(base / ref, base / dist, raw_f, lo_f, hi_f, polarity))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return records
 
 

@@ -36,7 +36,9 @@ import numpy as np
 from .errors import DataError
 # augment_patch and _forward_batch are unused here but stay bound:
 # bench/tracing.py wraps inference.augment_patch and inference._forward_batch
-from .features import PATCH_SIZE, augment_patch, feature_planes, gaussian_window, mscn_map, patch_grid
+from .features import (
+    PATCH_SIZE, augment_patch, feature_planes, gaussian_window, mscn_map, patch_grid, patch_means,
+)
 from .image_io import GrayImage
 from .quality_model import T_MIN
 from .regressor import PNetParams, _forward_batch, lattice_thresholds, params_digest
@@ -124,10 +126,7 @@ def predict_map(img: GrayImage, params: PNetParams, stride: int) -> ThresholdMap
             tile = np.stack([plane[top:bottom, left:right] for plane in planes])
             cells = lattice_thresholds(tile, params, tile_rows)
             values[np.ix_(grid_rows, grid_cols)] = cells[:, tile_cols]
-    windows = np.lib.stride_tricks.sliding_window_view(arr, (PATCH_SIZE, PATCH_SIZE))
-    # a contiguous (cols, 32, 32) copy per row sums each patch in the same
-    # order as the mean of its augment_patch luminance plane
-    luminance = np.stack([windows[row, cols].mean(axis=(1, 2)) for row in rows]) * 255.0
+    luminance = patch_means(arr, rows, cols) * 255.0
     return ThresholdMap(
         values=values,
         origin_stride=stride,

@@ -29,15 +29,6 @@ class QualityPrediction:
     dq_dalpha: float
 
 
-def mean_abs_error(ref_patch: np.ndarray, dist_patch: np.ndarray) -> float:
-    """Mean absolute luminance error between two aligned patches."""
-    ref = np.asarray(ref_patch, dtype=np.float64)
-    dist = np.asarray(dist_patch, dtype=np.float64)
-    if ref.shape != dist.shape:
-        raise DataError(f"patch shapes differ: {ref.shape} vs {dist.shape}")
-    return float(np.mean(np.abs(dist - ref)))
-
-
 def predict_quality(e: float, t: float, alpha: float) -> QualityPrediction:
     """Evaluate q_hat = 1 - exp(-alpha*E/T) and its T/alpha derivatives.
 

@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .features import PATCH_SIZE, patch_grid
+from .features import PATCH_SIZE, patch_grid, patch_means
 # load_pgm is unused here but stays bound: bench/tracing.py wraps synthetic.load_pgm
 from .image_io import GrayImage, load_pgm, quantize, read_csv_rows, save_pgm, write_manifest
-from .quality_model import mean_abs_error, predict_quality
+from .quality_model import predict_quality
 
 # the fixed generating law and crop geometry
 NOISE_AMPLITUDES = (0.01, 0.03, 0.06, 0.10)
@@ -55,7 +55,8 @@ def masking_threshold(patch: np.ndarray) -> float:
     return LAW_T0 + LAW_T1 * float(np.std(patch))
 
 
-def _texture(rng: np.random.Generator, size: int) -> np.ndarray:
+def texture(rng: np.random.Generator, size: int) -> np.ndarray:
+    """One size x size procedural texture on [0.1, 0.9], drawn from rng (see the module docstring)."""
     u = np.arange(size) / size
     yy, xx = np.meshgrid(u, u, indexing="ij")
     tex = np.zeros((size, size))
@@ -90,13 +91,14 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
     grid = patch_grid(cfg.image_size, CROP_STRIDE)
     for i in range(cfg.n_images):
         # snapped to the 8-bit lattice, so the crops are the pixels load_pgm reads back
-        ref = quantize(_texture(rng, cfg.image_size)) / 255.0
+        ref = quantize(texture(rng, cfg.image_size)) / 255.0
         distorted = [
             quantize(np.clip(ref + rng.uniform(-a, a, ref.shape), 0.0, 1.0)) / 255.0
             for a in NOISE_AMPLITUDES
         ]
-        for r in grid:
-            for c in grid:
+        errors = [patch_means(np.abs(dist - ref), grid, grid).tolist() for dist in distorted]
+        for ri, r in enumerate(grid):
+            for ci, c in enumerate(grid):
                 pid = f"img{i:04d}_r{r:03d}_c{c:03d}"
                 ref_crop = ref[r : r + PATCH_SIZE, c : c + PATCH_SIZE]
                 save_pgm(GrayImage(ref_crop), out / "ref" / f"{pid}.pgm")
@@ -106,8 +108,7 @@ def generate(cfg: SynthConfig, out_dir) -> Path:
                     dist_crop = dist[r : r + PATCH_SIZE, c : c + PATCH_SIZE]
                     dist_name = f"{pid}_a{ai}.pgm"
                     save_pgm(GrayImage(dist_crop), out / "dist" / dist_name)
-                    e = mean_abs_error(ref_crop, dist_crop)
-                    q = predict_quality(e, t_star, ALPHA_TRUE).q_hat
+                    q = predict_quality(errors[ai][ri][ci], t_star, ALPHA_TRUE).q_hat
                     rows.append(
                         {
                             "reference": f"ref/{pid}.pgm",

@@ -29,9 +29,11 @@ import numpy as np
 from .errors import DataError, NumericError
 # augment_patch is unused here but stays bound:
 # bench/tracing.py wraps training.augment_patch
-from .features import PATCH_SIZE, augment_patch, feature_planes, gaussian_window, mscn_map, patch_grid
+from .features import (
+    PATCH_SIZE, augment_patch, feature_planes, gaussian_window, mscn_map, patch_grid, patch_means,
+)
 from .image_io import QualityRecord
-from .quality_model import grad_wrt_threshold_scale, mean_abs_error, predict_quality, sample_loss
+from .quality_model import grad_wrt_threshold_scale, predict_quality, sample_loss
 from .regressor import (
     _OFFSETS,
     PARAM_COUNT,
@@ -142,17 +144,15 @@ def build_samples(records: list[QualityRecord], cfg: TrainConfig) -> list[Traini
     window = gaussian_window()
     samples = []
     for rec in records:
-        ref = rec.reference.pixels
         dist = rec.distorted.pixels
         planes = np.stack(feature_planes(mscn_map(dist, window), dist))
-        for row in patch_grid(dist.shape[0], cfg.patch_stride):
-            for col in patch_grid(dist.shape[1], cfg.patch_stride):
-                ref_crop = ref[row : row + PATCH_SIZE, col : col + PATCH_SIZE]
-                dist_crop = dist[row : row + PATCH_SIZE, col : col + PATCH_SIZE]
-                e = mean_abs_error(ref_crop, dist_crop)
-                if e < E_MIN:
-                    continue
-                samples.append(TrainingSample(planes, (row, col), e, rec.q_global))
+        rows = patch_grid(dist.shape[0], cfg.patch_stride)
+        cols = patch_grid(dist.shape[1], cfg.patch_stride)
+        errors = patch_means(np.abs(dist - rec.reference.pixels), rows, cols)
+        for row, row_errors in zip(rows, errors.tolist()):
+            for col, e in zip(cols, row_errors):
+                if e >= E_MIN:
+                    samples.append(TrainingSample(planes, (row, col), e, rec.q_global))
     return samples
 
 

@@ -24,7 +24,7 @@ from visthresh.evaluation import (
 from visthresh.features import DEFAULT_EPSILON, gaussian_window, mscn_map
 from visthresh.image_io import GrayImage, load_manifest, load_quality_records, save_pgm
 from visthresh.quality_model import predict_quality
-from visthresh.synthetic import SynthConfig, generate, load_oracle, _texture
+from visthresh.synthetic import SynthConfig, generate, load_oracle, texture
 from visthresh.training import (
     TrainConfig,
     build_samples,
@@ -237,7 +237,7 @@ class TestCriterion8PaperNumberStatus:
         ckpt = tmp_path / "model.vth"
         assert run(["train", "--manifest", str(manifest), "--out", str(ckpt),
                     "--epochs", "1", "--seed", "0"]) == 0
-        demo = _texture(np.random.default_rng(1), 64)
+        demo = texture(np.random.default_rng(1), 64)
         image_path = tmp_path / "demo.pgm"
         save_pgm(GrayImage(demo), image_path)
         prefix = tmp_path / "map"

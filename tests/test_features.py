@@ -12,6 +12,8 @@ from visthresh.features import (
     augment_patch,
     gaussian_window,
     mscn_map,
+    patch_grid,
+    patch_means,
 )
 
 from conftest import brute_force_maps
@@ -161,3 +163,33 @@ class TestAugmentPatch:
         assert np.all(patch[0] >= 0) and np.all(patch[0] <= 1)
         assert np.all(patch[1] >= 0) and np.all(patch[1] <= 1)
         assert np.all(patch[2] >= 0)
+
+
+class TestPatchMeans:
+    def test_identical_patches(self, rng):
+        patch = rng.uniform(0, 1, (32, 32))
+        assert patch_means(np.abs(patch - patch), [0], [0]) == 0.0
+
+    def test_constant_offset(self):
+        ref = np.zeros((32, 32))
+        assert patch_means(np.abs(ref + 0.2 - ref), [0], [0]) == pytest.approx(0.2, abs=1e-15)
+
+    def test_direct_arithmetic(self):
+        dist = np.tile([[0.1, 0.2], [0.3, 0.4]], (16, 16))
+        assert patch_means(np.abs(dist - np.zeros((32, 32))), [0], [0]) == pytest.approx(0.25, abs=1e-15)
+
+    @given(st.integers(32, 100), st.integers(32, 100), st.integers(1, 40), st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_bit_equal_to_each_crop_mean(self, height, width, stride, seed):
+        # border origins included: patch_grid appends one where the stride misses the edge
+        rng = np.random.default_rng(seed)
+        ref, dist = rng.uniform(0.0, 1.0, (2, height, width))
+        rows, cols = patch_grid(height, stride), patch_grid(width, stride)
+        means = patch_means(ref, rows, cols)
+        errors = patch_means(np.abs(dist - ref), rows, cols)
+        assert means.shape == errors.shape == (len(rows), len(cols))
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                ref_crop, dist_crop = ref[r : r + 32, c : c + 32], dist[r : r + 32, c : c + 32]
+                assert means[i, j] == ref_crop.mean()
+                assert errors[i, j] == np.mean(np.abs(dist_crop - ref_crop))

@@ -218,6 +218,23 @@ class TestManifest:
         with pytest.raises(DataError, match=r"(raw_score|score_min|score_max) must be finite, got -?inf"):
             load_manifest(tmp_path / "m.csv")
 
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            ("1,0,2,up", "unknown polarity 'up'"),
+            ("5,0,inf,higher_is_worse", "score_max must be finite"),
+            ("1,2,2,higher_is_worse", "score_min must be < score_max"),
+            ("5,0,1,higher_is_worse", "raw_score 5.0 outside range"),
+        ],
+        ids=["polarity", "non_finite", "empty_range", "raw_out_of_range"],
+    )
+    def test_row_error_names_file_line(self, tmp_path, scores, message):
+        # line 2 is valid, so the error must name the offending line 3
+        text = f"{MANIFEST_HEADER}\na,b,0.5,0,1,higher_is_worse\na,b,{scores}\n"
+        (tmp_path / "m.csv").write_text(text)
+        with pytest.raises(DataError, match=rf"m.csv:3: {message}"):
+            load_manifest(tmp_path / "m.csv")
+
     def test_write_then_load(self, tmp_path):
         rows = [
             {

@@ -8,7 +8,6 @@ from visthresh.errors import DataError
 from visthresh.quality_model import (
     T_MIN,
     grad_wrt_threshold_scale,
-    mean_abs_error,
     predict_quality,
     sample_loss,
 )
@@ -18,25 +17,6 @@ from visthresh.quality_model import (
 finite_e = st.floats(1e-6, 0.5)
 finite_t = st.floats(0.1, 5.0)
 finite_alpha = st.floats(0.05, 2.0)
-
-
-class TestMeanAbsError:
-    def test_identical_patches(self, rng):
-        patch = rng.uniform(0, 1, (32, 32))
-        assert mean_abs_error(patch, patch) == 0.0
-
-    def test_constant_offset(self):
-        ref = np.zeros((8, 8))
-        assert mean_abs_error(ref, ref + 0.2) == pytest.approx(0.2, abs=1e-15)
-
-    def test_direct_arithmetic(self):
-        ref = np.zeros((2, 2))
-        dist = np.array([[0.1, 0.2], [0.3, 0.4]])
-        assert mean_abs_error(ref, dist) == pytest.approx(0.25, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DataError, match="shapes"):
-            mean_abs_error(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestPredictQuality:

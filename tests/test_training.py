@@ -105,7 +105,7 @@ class TestBuildSamples:
         records = []
         for seed in range(4):
             rng = np.random.default_rng(seed)
-            ref = synthetic._texture(rng, 512)
+            ref = synthetic.texture(rng, 512)
             dist = np.clip(ref + rng.uniform(-0.05, 0.05, ref.shape), 0.0, 1.0)
             records.append(QualityRecord(GrayImage(ref), GrayImage(dist), 0.5))
         tracemalloc.start()
