@@ -8,17 +8,20 @@ luminance on the 0..255 scale for later outlier filtering.
 The network's two 2x2 pools make patches whose origins differ by a
 multiple of 4 share every convolution output, so the map is not built
 from one forward per cell.  The grid origins are split by phase
-(row mod 4, col mod 4), and for each phase that occurs the conv stack runs
-over tiles of TILE_CELLS x TILE_CELLS lattice cells of that phase
-(regressor.lattice_thresholds), the last tile of an axis taking one cell
-more instead of leaving a one-cell tile; the fc head runs only on the tile's
-lattice rows that hold a grid origin, on every cell of such a row.  Tiles
-are anchored at absolute lattice positions and always cover every lattice
-cell in their range, so every GEMM's shape, and with it a cell's value,
-does not depend on the stride, and a tile bounds the working memory
-whatever the image size.  A cell equals the single-patch forward to within
-1e-12 relative (the convolutions sum in another order); repeated runs are
-bit-identical.
+(row mod 4, col mod 4).  The columns of each phase's lattice are split
+into strips of at most TILE_CELLS cells (_tiles), and for each row phase
+that occurs the conv stack walks each strip that holds a grid column from
+top to bottom (regressor.lattice_thresholds): in bands of lattice rows
+that carry the rows the next band reads, skipping bands that hold no grid
+row, so no convolution output of a strip is made twice.  The fc head runs
+only on the lattice rows that hold a grid origin, on every cell of such a
+row.  The border column, when not of phase 0, is a strip of its own, so
+a stride that asks for no other cell of its phase pays a narrow strip for
+it.  Strips are fixed by the image width and the phase, so every GEMM's
+shape, and with it a cell's value, does not depend on the stride, and a
+strip's width bounds the working memory whatever the image size.  A cell
+equals the single-patch forward to within 1e-12 relative (the
+convolutions sum in another order); repeated runs are bit-identical.
 
 Maps can be decimated to a coarser grid with a block-averaging filter,
 min-max normalized for visualization, and exported as CSV with a JSON
@@ -27,6 +30,7 @@ sidecar.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -44,11 +48,12 @@ from .quality_model import T_MIN
 from .regressor import PNetParams, _forward_batch, lattice_thresholds, params_digest
 
 LATTICE = 4  # origin spacing at which patches share conv outputs (two 2x2 pools)
-# lattice cells per tile side: 124x124-pixel tiles, so the 28-pixel halo
-# each tile recomputes is a small share of it; conv1 runs in row strips
-# (regressor._pooled_map), so a tile pass peaks under 4 MB.  The last tile
-# of an axis may hold TILE_CELLS + 1 cells (128 pixels), see _tiles.
-TILE_CELLS = 24
+# lattice cells per column strip: 284-pixel strips, so a 256-pixel axis is
+# one strip and the 28-pixel halo of the next strip is a small share of a
+# wider one; a strip pass walks bands of rows (regressor.lattice_thresholds)
+# and peaks under 3 MiB.  A strip may hold TILE_CELLS + 1 cells (288
+# pixels), see _strip_edges.
+TILE_CELLS = 64
 # ThresholdMap fields that the JSON sidecar stores under their own names
 GEOMETRY_KEYS = ("origin_stride", "patch_size", "source_width", "source_height")
 
@@ -77,31 +82,44 @@ def _lattice_cells(length: int, phase: int) -> int:
     return (length - PATCH_SIZE - phase) // LATTICE + 1
 
 
-def _tiles(origins: list[int], length: int) -> list[tuple[int, int, list[int], list[int]]]:
-    """Group one axis's grid origins into lattice tiles.
+def _strip_edges(length: int, phase: int) -> list[int]:
+    """Lattice cells at which one phase's strips start, then its cell count.
 
-    Returns (first pixel, end pixel, grid indices, cells within the tile)
-    per tile that holds at least one origin.  An origin's tile is fixed by
-    its phase, its absolute lattice position and the axis length alone.
-    When the phase's last tile would hold a single cell, the tile before it
-    takes that cell (TILE_CELLS + 1 cells): a one-cell tile pass, all halo,
-    costs about a quarter of a full one.
+    Strips start every TILE_CELLS cells from cell 0.  When that would leave
+    a last strip of a single cell, the strip before it takes that cell
+    (TILE_CELLS + 1 cells): a one-cell strip pass, all halo, costs about a
+    quarter of a full one.  The border origin length - 32, when it is not
+    of phase 0, is a strip of its own: every stride whose grid does not
+    reach it asks for it, and a stride that is a multiple of 4 asks for no
+    other cell of its phase.
     """
-    members: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    n = _lattice_cells(length, phase)
+    border = n > 1 and phase != 0 and phase == (length - PATCH_SIZE) % LATTICE
+    body = n - 1 if border else n
+    edges = list(range(0, body, TILE_CELLS))
+    if len(edges) > 1 and body - edges[-1] == 1:
+        edges.pop()
+    return edges + [body] + ([n] if border else [])
+
+
+def _tiles(origins: list[int], length: int) -> list[tuple[int, int, list[int], list[int]]]:
+    """Group the grid's column origins into the lattice strips of _strip_edges.
+
+    Returns (first pixel, end pixel, grid indices, cells within the strip)
+    per strip that holds at least one origin.  An origin's strip is fixed
+    by its phase, its lattice position and the axis length alone.
+    """
+    members: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     for k, origin in enumerate(origins):
         phase, cell = origin % LATTICE, origin // LATTICE
-        first = cell - cell % TILE_CELLS
-        if first and first == _lattice_cells(length, phase) - 1:
-            first -= TILE_CELLS
-        members.setdefault((phase, first), []).append((k, cell - first))
+        edges = _strip_edges(length, phase)
+        s = bisect.bisect_right(edges, cell) - 1
+        members.setdefault((phase, edges[s], edges[s + 1]), []).append((k, cell - edges[s]))
     tiles = []
-    for (phase, first), pairs in sorted(members.items()):
-        n_cells = _lattice_cells(length, phase) - first
-        if n_cells > TILE_CELLS + 1:  # not the phase's last tile
-            n_cells = TILE_CELLS
+    for (phase, first, end), pairs in sorted(members.items()):
         start = phase + LATTICE * first
         grid_idx, tile_idx = zip(*pairs)
-        tiles.append((start, start + LATTICE * (n_cells - 1) + PATCH_SIZE,
+        tiles.append((start, start + LATTICE * (end - first - 1) + PATCH_SIZE,
                       list(grid_idx), list(tile_idx)))
     return tiles
 
@@ -109,11 +127,11 @@ def _tiles(origins: list[int], length: int) -> list[tuple[int, int, list[int], l
 def predict_map(img: GrayImage, params: PNetParams, stride: int) -> ThresholdMap:
     """Predict a threshold per patch origin on the patch grid.
 
-    The conv stack runs once per lattice tile (see the module docstring),
-    so every cell is within 1e-12 relative of an independent single-patch
-    prediction, a cell's value is the same at every stride whose grid
-    holds its origin, and repeated runs are bit-identical.  The mean
-    luminance is computed per patch, as augment_patch would crop it.
+    The conv stack walks each strip once per row phase (see the module
+    docstring), so every cell is within 1e-12 relative of an independent
+    single-patch prediction, a cell's value is the same at every stride
+    whose grid holds its origin, and repeated runs are bit-identical.  The
+    mean luminance is computed per patch, as augment_patch would crop it.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
@@ -121,11 +139,15 @@ def predict_map(img: GrayImage, params: PNetParams, stride: int) -> ThresholdMap
     rows, cols = patch_grid(arr.shape[0], stride), patch_grid(arr.shape[1], stride)
     planes = feature_planes(mscn_map(arr, gaussian_window()), arr)
     values = np.empty((len(rows), len(cols)))
-    for top, bottom, grid_rows, tile_rows in _tiles(rows, arr.shape[0]):
-        for left, right, grid_cols, tile_cols in _tiles(cols, arr.shape[1]):
-            tile = np.stack([plane[top:bottom, left:right] for plane in planes])
-            cells = lattice_thresholds(tile, params, tile_rows)
-            values[np.ix_(grid_rows, grid_cols)] = cells[:, tile_cols]
+    phases: dict[int, list[int]] = {}
+    for k, origin in enumerate(rows):
+        phases.setdefault(origin % LATTICE, []).append(k)
+    for left, right, grid_cols, strip_cols in _tiles(cols, arr.shape[1]):
+        for phase, grid_rows in phases.items():
+            bottom = phase + LATTICE * (_lattice_cells(arr.shape[0], phase) - 1) + PATCH_SIZE
+            strip = [plane[phase:bottom, left:right] for plane in planes]
+            cells = lattice_thresholds(strip, params, [rows[k] // LATTICE for k in grid_rows])
+            values[np.ix_(grid_rows, grid_cols)] = cells[:, strip_cols]
     luminance = patch_means(arr, rows, cols) * 255.0
     return ThresholdMap(
         values=values,

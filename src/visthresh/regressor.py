@@ -19,10 +19,10 @@ as soon as it is made.
 The global log-scale parameter ``a`` rides along with the network
 parameters but its gradient comes from the quality model.
 
-Threshold maps use an eval-only whole-image pass instead
-(lattice_thresholds): the convolutions and pools run once over a feature
-image, and every patch whose origin is a multiple of 4 reads its pool-2
-output from the shared map.
+Threshold maps use an eval-only strip pass instead (lattice_thresholds):
+the convolutions and pools walk a full-height strip of a feature image
+top to bottom in bands that carry the rows the next band reads, and every
+patch whose origin is a multiple of 4 reads its pool-2 output from them.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ KERNEL_SIZE = 5
 FC1_NODES = 100
 FLAT_SIZE = CONV2_FILTERS * 5 * 5  # 800 after the second pool
 DROPOUT_RATE = 0.5
-STRIP_ROWS = 8  # conv1 output rows per im2col strip of a whole-image pass
+STRIP_ROWS = 4  # conv1 output rows per im2col GEMM of a strip pass
+BAND_ROWS = 4  # lattice rows per band of a strip pass (lattice_thresholds)
 
 CHECKPOINT_MAGIC = b"VTH1"
 _ARCH = (PATCH_SIZE, IN_CHANNELS, CONV1_FILTERS, CONV2_FILTERS, KERNEL_SIZE, FC1_NODES)
@@ -371,65 +372,99 @@ def _conv_shifted(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     On the row-flattened map, the input of output pixel (y, x) at offset
     (u, v) sits u * W + v further on, so each offset is a single shifted
     (C, n) slice and no im2col copy is made.  The last K - 1 values of each
-    output row wrap into the next input row and are cut off.
+    output row wrap into the next input row and are cut off.  n is rounded
+    up to a multiple of 8, reading zeros past the map: BLAS libraries such
+    as OpenBLAS make the last n % 8 columns of a GEMM with narrower kernels
+    whose last bits differ, so only then are an output's bits independent
+    of the map's height.
     """
     c, h, w_ = x.shape
     f, _, k, _ = w.shape
     oh, ow = h - k + 1, w_ - k + 1
-    flat = x.reshape(c, h * w_)
-    n = (oh - 1) * w_ + ow
-    out = np.empty((f, oh * w_))
+    n = -(-((oh - 1) * w_ + ow) // 8) * 8
+    flat = np.empty((c, (k - 1) * (w_ + 1) + n))
+    flat[:, : h * w_] = x.reshape(c, h * w_)
+    flat[:, h * w_ :] = 0.0
+    out = np.empty((f, max(n, oh * w_)))
     acc = out[:, :n]
     acc[...] = b[:, None]
     for u in range(k):
         for v in range(k):
             acc += w[:, :, u, v] @ flat[:, u * w_ + v : u * w_ + v + n]
-    return out.reshape(f, oh, w_)[:, :, :ow]
+    return out[:, : oh * w_].reshape(f, oh, w_)[:, :, :ow]
 
 
-def _pooled_map(x: np.ndarray, params: PNetParams) -> np.ndarray:
-    """Eval-mode conv stack over a whole (4, H, W) feature image.
+def _band(x, params: PNetParams, first: int, last: int, carry):
+    """The ReLU'd pool-2 rows first .. last + 3, all that lattice rows [first, last) read.
 
-    conv1 runs in strips of STRIP_ROWS output rows, each one im2col GEMM
-    whose 2x2 pool is written straight into pooled1, so no im2col or conv1
-    output of the whole image is ever held.  Pooling then relu gives the
-    same values as relu then pooling, on a quarter of the elements.  With
-    H = 4m + 28 and W = 4n + 28 the result is (32, m + 4, n + 4), and its
-    5x5 window at (i, j) is the pool-2 output of the 32x32 patch at pixel
-    (4i, 4j): both pools pair the same rows and columns as they do inside
-    that patch.
+    Pool-1 row q is made from conv1 rows 2q and 2q + 1, pool-2 row r from
+    pool-1 rows 2r .. 2r + 5, so these rows need pool-1 rows 2 * first ..
+    2 * last + 11.  carry is the previous band's last 4 pool-1 and 4 pool-2
+    rows, exactly the first ones this band reads; with it the band makes
+    only rows no band made before.  Without it (the top band, or a band
+    after a skipped one) the band makes its 12-row pool-1 and 4-row pool-2
+    halo as well.  conv1 runs in strips of STRIP_ROWS output rows, each one
+    im2col GEMM whose 2x2 pool is written straight into pooled1; pooling
+    then relu gives the same values as relu then pooling, on a quarter of
+    the elements.  Returns the pool-2 rows and the carry of the next band.
     """
     k = KERNEL_SIZE
-    oh, ow = x.shape[1] - k + 1, x.shape[2] - k + 1
-    pooled1 = np.empty((CONV1_FILTERS, oh // 2, ow // 2))
-    for top in range(0, oh, STRIP_ROWS):
-        bottom = min(top + STRIP_ROWS, oh)
-        cols = _im2col(x[:, top : bottom + k - 1, :, None])
-        pre1 = _conv_gemm(cols, params.conv1_w, params.conv1_b, (bottom - top, ow, 1))
-        _pool2_values(pre1[..., 0], out=pooled1[:, top // 2 : bottom // 2])
+    ow = x[0].shape[1] - k + 1
+    held = 0 if carry is None else 4  # carried rows at the top of both maps
+    top1 = 2 * (first + held)  # first pool-1 row the band reads
+    pooled1 = np.empty((CONV1_FILTERS, 2 * last + 12 - top1, ow // 2))
+    pooled2 = np.empty((CONV2_FILTERS, last + 4 - first, ow // 4 - 2))
+    if carry is not None:
+        pooled1[:, :held], pooled2[:, :held] = carry
+    end = 4 * last + 24  # conv1 rows from 2 * (top1 + held) up to end are new
+    for top in range(2 * (top1 + held), end, STRIP_ROWS):
+        bottom = min(top + STRIP_ROWS, end)
+        rows = np.stack([plane[top : bottom + k - 1] for plane in x])[..., None]
+        pre1 = _conv_gemm(_im2col(rows), params.conv1_w, params.conv1_b, (bottom - top, ow, 1))
+        _pool2_values(pre1[..., 0], out=pooled1[:, top // 2 - top1 : bottom // 2 - top1])
     np.maximum(pooled1, 0.0, out=pooled1)
     pre2 = _conv_shifted(pooled1, params.conv2_w, params.conv2_b)
-    return np.maximum(_pool2_values(pre2), 0.0)
+    np.maximum(_pool2_values(pre2), 0.0, out=pooled2[:, held:])
+    return pooled2, (pooled1[:, -4:].copy(), pooled2[:, -4:].copy())
 
 
-def lattice_thresholds(x: np.ndarray, params: PNetParams, rows) -> np.ndarray:
-    """Eval-mode thresholds of the patches of x whose origin is a multiple of 4.
+def lattice_thresholds(x, params: PNetParams, rows) -> np.ndarray:
+    """Eval-mode thresholds of the patches of a strip whose origin is a multiple of 4.
 
-    x is a (4, 4m + 28, 4n + 28) feature image; cell (i, j) of the (m, n)
+    x holds the four (4m + 28, 4n + 28) feature planes of the strip, as one
+    (4, H, W) array or a sequence of planes; cell (i, j) of the (m, n)
     lattice is the threshold of the patch at pixel (4i, 4j).  rows picks
-    the lattice rows returned, in that order.  The head runs once per row
-    on all n cells of it, so every GEMM's shape is fixed by the shape of x
-    and a cell's bits do not depend on which rows are asked for.  A cell
+    the lattice rows returned, in that order.
+
+    The conv stack walks the strip top to bottom in bands of BAND_ROWS
+    lattice rows (_band), each carrying the rows the next one reads, so no
+    convolution output is made twice and the working memory is bounded by
+    the strip's width, not its height.  A band that holds no requested row
+    is skipped, and the band after it makes its own halo.  The 5x5 window
+    of pool-2 rows i .. i + 4 is the pool-2 output of the patch of lattice
+    row i: both pools pair the same rows and columns as they do inside the
+    patch.  Every conv1 GEMM is one STRIP_ROWS-row strip and every conv2
+    GEMM a multiple of 8 columns wide (_conv_shifted), so a convolution
+    output's bits do not depend on the band that made it; the head runs
+    once per requested row on all n cells of it.  So a cell's bits depend
+    on the shape of x alone, not on which rows are asked for.  A cell
     equals the single-patch forward to about 1e-15 relative: the
     convolutions sum in another order, every other operation is the same.
     """
-    pooled = _pooled_map(x, params)
-    windows = np.lib.stride_tricks.sliding_window_view(pooled, (5, 5), axis=(1, 2))
-    n = windows.shape[2]
+    rows = list(rows)
+    m = (x[0].shape[0] - PATCH_SIZE) // 4 + 1
+    n = (x[0].shape[1] - PATCH_SIZE) // 4 + 1
     out = np.empty((len(rows), n))
-    for k, i in enumerate(rows):
-        flat = windows[:, i].transpose(1, 0, 2, 3).reshape(n, FLAT_SIZE)
-        out[k] = _head(flat, params, None)[3]
+    carry, done = None, None
+    for band in sorted({i // BAND_ROWS for i in rows}):
+        first, last = band * BAND_ROWS, min((band + 1) * BAND_ROWS, m)
+        pooled2, next_carry = _band(x, params, first, last, carry if done == band - 1 else None)
+        windows = np.lib.stride_tricks.sliding_window_view(pooled2, (5, 5), axis=(1, 2))
+        for k, i in enumerate(rows):
+            if first <= i < last:
+                flat = windows[:, i - first].transpose(1, 0, 2, 3).reshape(n, FLAT_SIZE)
+                out[k] = _head(flat, params, None)[3]
+        carry, done = next_carry, band
     return out
 
 

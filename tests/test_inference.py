@@ -20,7 +20,10 @@ from visthresh.inference import (
     normalize_map,
     predict_map,
 )
-from visthresh.regressor import _forward_batch, init_params, lattice_thresholds, params_digest
+from visthresh import regressor
+from visthresh.regressor import (
+    BAND_ROWS, STRIP_ROWS, _forward_batch, init_params, lattice_thresholds, params_digest,
+)
 
 
 def make_map(values, **kwargs) -> ThresholdMap:
@@ -121,10 +124,11 @@ class TestPredictMap:
 
     @pytest.mark.parametrize("stride", [4, 13, 16])
     def test_every_cell_matches_per_patch_forward_across_tiles(self, stride, trained_like_params):
-        # 260x190 holds 58x40 lattice cells: 3x2 tiles of TILE_CELLS, the
-        # last ones partial, and strides 13 and 16 add border phases
-        shape = (260, 190)
-        assert (shape[0] - 32) // 4 + 1 > 2 * TILE_CELLS and (shape[1] - 32) // 4 + 1 > TILE_CELLS
+        # 262x302 holds 58x68 lattice cells: 15 bands of BAND_ROWS, the last
+        # one partial, and two column strips, the second one partial; the
+        # border origins 230 and 270 are of phase 2 at every stride
+        shape = (262, 302)
+        assert (shape[0] - 32) // 4 + 1 > 14 * BAND_ROWS and (shape[1] - 32) // 4 + 1 > TILE_CELLS
         img = GrayImage(np.random.default_rng(shape).uniform(0.1, 0.9, shape))
         maps = mscn_map(img.pixels, gaussian_window())
         tmap = predict_map(img, trained_like_params, stride)
@@ -136,12 +140,14 @@ class TestPredictMap:
                 assert_rel_close(tmap.values[i, j], want)
 
     def test_merged_sliver_tiles_match_per_patch_forward(self, trained_like_params):
-        # 224 rows hold 2 * TILE_CELLS + 1 phase-0 lattice cells, 130 columns
-        # TILE_CELLS + 1 cells of phases 0 and 2 (the border origin 98): every
-        # axis ends in a tile that took in a one-cell sliver
-        shape = (224, 130)
-        assert (shape[0] - 32) // 4 + 1 == 2 * TILE_CELLS + 1
+        # 224 rows hold 12 * BAND_ROWS + 1 phase-0 lattice cells, so the last
+        # band holds one row; 290 columns hold TILE_CELLS + 1 cells of phases
+        # 0, 1 and 2: phases 0 and 1 end in a strip that took in a one-cell
+        # sliver, phase 2 splits off the border origin 258 as a strip of its own
+        shape = (224, 290)
+        assert (shape[0] - 32) // 4 + 1 == 12 * BAND_ROWS + 1
         assert (shape[1] - 32) // 4 + 1 == (shape[1] - 34) // 4 + 1 == TILE_CELLS + 1
+        assert (shape[1] - 32) % LATTICE == 2
         img = GrayImage(np.random.default_rng(12).uniform(0.1, 0.9, shape))
         maps = mscn_map(img.pixels, gaussian_window())
         reference = {}
@@ -159,11 +165,12 @@ class TestPredictMap:
     def test_multi_tile_stride_subgrids_bit_identical(self, trained_like_params):
         # each coarser grid's origins, border origins included, are a subset
         # of the finer grid's, and the cells they share are equal bit for bit;
-        # (224, 130) ends both axes in a tile that took in a one-cell sliver
-        for seed, shape in ((11, (300, 260)), (13, (224, 130))):
+        # (224, 290) ends phase 0's columns in a strip that took in a one-cell
+        # sliver, and stride 64 skips bands, so its bands make their own halo
+        for seed, shape in ((11, (300, 302)), (13, (224, 290))):
             img = GrayImage(np.random.default_rng(seed).uniform(0.1, 0.9, shape))
-            maps = {s: predict_map(img, trained_like_params, s) for s in (4, 8, 16)}
-            for fine, coarse in ((4, 8), (8, 16)):
+            maps = {s: predict_map(img, trained_like_params, s) for s in (4, 8, 16, 64)}
+            for fine, coarse in ((4, 8), (8, 16), (16, 64)):
                 pick = [
                     [patch_grid(length, fine).index(o) for o in patch_grid(length, coarse)]
                     for length in shape
@@ -184,14 +191,16 @@ class TestPredictMap:
         assert peak < 16 * 2**20
 
     def test_tile_pass_traced_peak_bounded(self, trained_like_params):
-        # conv1 runs in row strips: a whole-tile im2col alone would be 11 MiB;
-        # the last tile of an axis may hold one cell more
+        # conv1 runs in row strips and the conv stack in bands: a whole-strip
+        # im2col alone would be 11 MiB; the last strip of an axis may hold
+        # one cell more, and the strip is 4 bands tall
+        rows = 4 * BAND_ROWS
         for cells in (TILE_CELLS, TILE_CELLS + 1):
-            side = LATTICE * cells + 28
-            tile = np.random.default_rng(6).standard_normal((4, side, side))
+            shape = (4, LATTICE * rows + 28, LATTICE * cells + 28)
+            strip = np.random.default_rng(6).standard_normal(shape)
             tracemalloc.start()
             try:
-                lattice_thresholds(tile, trained_like_params, range(cells))
+                lattice_thresholds(strip, trained_like_params, range(rows))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -219,9 +228,11 @@ class TestPredictMap:
 class TestTiles:
     def test_phase_lattice_split_without_one_cell_tiles(self):
         # stride 1 holds every origin of every phase; each phase's lattice is
-        # split into consecutive tiles of TILE_CELLS cells, the last one
-        # holding 2..TILE_CELLS + 1 (or the whole lattice, if it has 1 cell)
-        for length in range(32, 440):
+        # split into consecutive strips of TILE_CELLS cells, the last one
+        # holding 2..TILE_CELLS + 1 (or the whole lattice, if it has 1 cell);
+        # the border origin length - 32, when not of phase 0, is a strip of
+        # its own after them
+        for length in range(32, 4 * (2 * TILE_CELLS + 2) + 32):
             origins = patch_grid(length, 1)
             by_phase = {}
             for start, end, grid_idx, tile_idx in _tiles(origins, length):
@@ -231,6 +242,8 @@ class TestTiles:
                 by_phase.setdefault(start % LATTICE, []).append(n_cells)
             for phase, sizes in by_phase.items():
                 assert sum(sizes) == (length - 32 - phase) // LATTICE + 1, length
+                if phase and phase == (length - 32) % LATTICE and sum(sizes) > 1:
+                    assert sizes.pop() == 1, length
                 assert all(n == TILE_CELLS for n in sizes[:-1]), length
                 assert 2 <= sizes[-1] <= TILE_CELLS + 1 or len(sizes) == sizes[-1] == 1, length
 
@@ -244,6 +257,64 @@ class TestLatticeThresholds:
         rows = [12, 0, 5, 5, 9]
         np.testing.assert_array_equal(lattice_thresholds(x, trained_like_params, rows), every[rows])
         assert lattice_thresholds(x, trained_like_params, []).shape == (0, 7)
+
+    def test_rows_across_skipped_bands_equal_all_rows_bit_for_bit(self, trained_like_params):
+        # 5 * BAND_ROWS + 2 lattice rows are 6 bands, the last one partial;
+        # the first rows skip bands 1 and 4, so bands 2 and 5 make their own
+        # halo and band 3 takes band 2's carry
+        b, m = BAND_ROWS, 5 * BAND_ROWS + 2
+        x = np.random.default_rng(9).standard_normal((4, 4 * m + 28, 4 * 9 + 28))
+        every = lattice_thresholds(x, trained_like_params, range(m))
+        for rows in ([m - 1, 2, 2, 3 * b + 1, 0, 2 * b + 1, m - 1], [2 * b], [m - 1],
+                     [b - 1, 3 * b, 3 * b + 1, 5 * b]):
+            got = lattice_thresholds(x, trained_like_params, rows)
+            np.testing.assert_array_equal(got, every[rows])
+
+    def test_conv_outputs_made_once(self, trained_like_params, monkeypatch):
+        # the conv1 strips of a full request cover the conv1 output once and
+        # the bands' conv2 GEMMs the conv2 output once; a request that skips
+        # a band makes 24 conv1 and 8 conv2 halo rows again after it
+        made = {"conv1": [], "conv2": []}
+
+        def counted(name, fn):
+            def wrapper(x, *args, **kwargs):
+                made[name].append(x.shape[1] - 4)  # output rows of a valid 5x5 conv
+                return fn(x, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(regressor, "_im2col", counted("conv1", regressor._im2col))
+        monkeypatch.setattr(regressor, "_conv_shifted", counted("conv2", regressor._conv_shifted))
+        m = 5 * BAND_ROWS + 2
+        x = np.random.default_rng(10).standard_normal((4, 4 * m + 28, 4 * 6 + 28))
+        lattice_thresholds(x, trained_like_params, range(m))
+        assert sum(made["conv1"]) == 4 * m + 24
+        assert len(made["conv1"]) == (4 * m + 24) // STRIP_ROWS
+        assert sum(made["conv2"]) == 2 * m + 8
+        assert len(made["conv2"]) == m // BAND_ROWS + 1
+        made = {"conv1": [], "conv2": []}
+        lattice_thresholds(x, trained_like_params, [0, 2 * BAND_ROWS])
+        assert sum(made["conv1"]) == 2 * (4 * BAND_ROWS + 24)
+        assert sum(made["conv2"]) == 2 * (2 * BAND_ROWS + 8)
+
+    def test_tall_strip_cells_match_per_patch_forward(self, trained_like_params):
+        # 422 rows are 25 bands; the border origins 390 and 118 are of phase
+        # 2, so at strides 4 and 64 the phase-2 rows request the last band
+        # alone and it makes its own halo
+        shape = (422, 150)
+        img = GrayImage(np.random.default_rng(14).uniform(0.1, 0.9, shape))
+        maps = mscn_map(img.pixels, gaussian_window())
+        reference = {}
+        for stride in (4, 13, 64):
+            tmap = predict_map(img, trained_like_params, stride)
+            rows, cols = patch_grid(shape[0], stride), patch_grid(shape[1], stride)
+            assert tmap.values.shape == (len(rows), len(cols))
+            for i, r in enumerate(rows):
+                for j, c in enumerate(cols):
+                    if (r, c) not in reference:
+                        reference[r, c] = single_patch_threshold(
+                            maps, img.pixels, (r, c), trained_like_params
+                        )
+                    assert_rel_close(tmap.values[i, j], reference[r, c])
 
 
 class TestDecimateMap:
