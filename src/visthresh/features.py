@@ -51,20 +51,25 @@ def gaussian_window() -> np.ndarray:
 
 
 def _windowed_sum(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted sliding-window sum over the valid windows of a padded array."""
-    windows = np.lib.stride_tricks.sliding_window_view(padded, weights.shape)
-    return np.einsum("xyuv,uv->xy", windows, weights)
+    """Weighted sliding-window sum over the valid windows of the last two axes of a padded array."""
+    windows = np.lib.stride_tricks.sliding_window_view(padded, weights.shape, axis=(-2, -1))
+    return np.einsum("...xyuv,uv->...xy", windows, weights)
 
 
 def mscn_map(img, window: np.ndarray) -> FeatureMaps:
-    """Weighted local mean, variance (clamped at 0) and MSCN maps of a pixel array."""
+    """Weighted local mean, variance (clamped at 0) and MSCN maps of a pixel array.
+
+    img is one (H, W) image or a stack (..., H, W) of images of one shape;
+    each image of a stack gets the maps it gets alone, bit for bit.
+    """
     arr = np.asarray(img, dtype=np.float64)
     size = len(window)
-    if size > min(arr.shape):
-        raise DataError(f"window size {size} exceeds image dimensions {arr.shape}")
+    if size > min(arr.shape[-2:]):
+        raise DataError(f"window size {size} exceeds image dimensions {arr.shape[-2:]}")
     # reflect-101 padding only copies pixels, so the padded square is the
     # square of the padded image
-    padded = np.pad(arr, size // 2, mode="reflect")
+    half = size // 2
+    padded = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(half, half)] * 2, mode="reflect")
     mean = _windowed_sum(padded, window)
     var = np.maximum(_windowed_sum(padded * padded, window) - mean * mean, 0.0)
     mscn = (arr - mean) / (np.sqrt(var) + DEFAULT_EPSILON)
@@ -82,14 +87,15 @@ def patch_grid(length: int, stride: int) -> list[int]:
 
 
 def patch_means(arr: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
-    """The (len(rows), len(cols)) means of arr's PATCH_SIZE-square windows at those origins.
+    """The (..., len(rows), len(cols)) means of the PATCH_SIZE-square windows at those origins.
 
-    Each row of windows is copied into one contiguous (len(cols), 32, 32)
-    array before its mean, so every patch is summed in the same order as
-    arr[r:r+32, c:c+32].mean(), bit for bit.
+    arr is one (H, W) array or a stack (..., H, W) of them.  Each row of
+    windows is copied into one (..., len(cols), 32, 32) array before its
+    mean, so every patch is summed in the same order as
+    arr[..., r:r+32, c:c+32].mean(), bit for bit.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(arr, (PATCH_SIZE, PATCH_SIZE))
-    return np.stack([windows[row, cols].mean(axis=(1, 2)) for row in rows])
+    windows = np.lib.stride_tricks.sliding_window_view(arr, (PATCH_SIZE, PATCH_SIZE), axis=(-2, -1))
+    return np.stack([windows[..., row, cols, :, :].mean(axis=(-2, -1)) for row in rows], axis=-2)
 
 
 def feature_planes(maps: FeatureMaps, img) -> tuple[np.ndarray, ...]:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .features import PATCH_SIZE
 
 MANIFEST_HEADER = ("reference", "distorted", "raw_score", "score_min", "score_max", "polarity")
 POLARITIES = ("higher_is_worse", "higher_is_better")
@@ -226,17 +227,24 @@ def load_quality_records(manifest_path) -> list[QualityRecord]:
     """Load every manifest row into memory with its normalized quality target.
 
     Each distinct image path is read once; the records that name it share
-    one (read-only) GrayImage.
+    one (read-only) GrayImage.  A pair whose images differ in shape, or
+    are under one PATCH_SIZE patch on either axis, is a DataError that
+    names the distorted image.
     """
     load = functools.cache(load_pgm)
-    return [
-        QualityRecord(
-            reference=load(rec.reference_path),
-            distorted=load(rec.distorted_path),
-            q_global=normalize_score(rec),
-        )
-        for rec in load_manifest(manifest_path)
-    ]
+    records = []
+    for rec in load_manifest(manifest_path):
+        reference, distorted = load(rec.reference_path), load(rec.distorted_path)
+        try:
+            records.append(QualityRecord(reference, distorted, normalize_score(rec)))
+        except DataError as exc:
+            raise DataError(f"{rec.distorted_path}: {exc}") from None
+        if min(distorted.pixels.shape) < PATCH_SIZE:
+            raise DataError(
+                f"{rec.distorted_path}: image {distorted.pixels.shape} smaller than the "
+                f"{PATCH_SIZE}x{PATCH_SIZE} patch"
+            )
+    return records
 
 
 def write_manifest(records: list[dict], path) -> None:

@@ -7,9 +7,12 @@ target quality and the quality predicted from (patch error E, regressed
 threshold T, learned scale alpha), using Adam on all parameters including
 a = log alpha.
 
-A sample holds its record's stacked feature planes and its patch origin,
-not a copy of the patch, so the patches cost 32 bytes per image pixel
-whatever the stride; batches are cut from the planes as they run.
+A sample holds its record's four feature planes and its patch origin, not
+a copy of the patch; batches are cut from the planes as they run.  Plane 0
+is the record's own distorted pixels.  The mean, variance and MSCN planes
+are views of maps taken once per chunk of same-shape records, so the
+samples cost 24 bytes per image pixel beyond the records whatever the
+stride.
 
 Determinism contract: all randomness (split, epoch shuffles, per-sample
 dropout masks) derives from config.seed through numpy's PCG64 generator
@@ -30,7 +33,8 @@ from .errors import DataError, NumericError
 # augment_patch is unused here but stays bound:
 # bench/tracing.py wraps training.augment_patch
 from .features import (
-    PATCH_SIZE, augment_patch, feature_planes, gaussian_window, mscn_map, patch_grid, patch_means,
+    PATCH_SIZE, FeatureMaps, augment_patch, feature_planes, gaussian_window, mscn_map, patch_grid,
+    patch_means,
 )
 from .image_io import QualityRecord
 from .quality_model import grad_wrt_threshold_scale, predict_quality, sample_loss
@@ -62,6 +66,11 @@ GRADCHECK_TOLERANCE = 1e-4
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # samples with a smaller patch error carry no threshold gradient
 E_MIN = 1e-6
+# the most pixels build_samples stacks into one chunk, counted both as
+# image pixels and as the pixels of the row of patches that patch_means
+# copies at once: 256 records of 32x32 share a chunk, a 512x512 image or
+# a 32x512 one at stride 1 has one of its own
+SAMPLE_CHUNK_PIXELS = 2**18
 
 
 @dataclass(frozen=True)
@@ -89,9 +98,14 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrainingSample:
-    """A patch origin in its record's shared (4, H, W) feature planes, with error and target."""
+    """A patch origin in its record's shared feature planes, with error and target.
 
-    planes: np.ndarray
+    planes is the feature_planes tuple of four (H, W) arrays: the record's
+    own distorted pixels, then views of its chunk's mean, variance and MSCN
+    maps.
+    """
+
+    planes: tuple[np.ndarray, ...]
     origin: tuple[int, int]
     e: float
     q_target: float
@@ -138,18 +152,38 @@ class GradCheckReport:
 def build_samples(records: list[QualityRecord], cfg: TrainConfig) -> list[TrainingSample]:
     """Cut aligned patches, compute features on the distorted image, attach targets.
 
-    Samples whose patch error falls below E_MIN carry no threshold
-    gradient and are dropped.
+    Records of one image shape are stacked in chunks whose images, and
+    whose row of patch windows, hold at most SAMPLE_CHUNK_PIXELS pixels (a
+    record over the budget goes alone).  Each chunk takes its feature maps
+    with one mscn_map and its patch errors with one patch_means, and its
+    records' samples share views of those maps.  Samples come in record
+    order, then patch order, and samples whose patch error falls below
+    E_MIN carry no threshold gradient and are dropped.
     """
     window = gaussian_window()
+    by_shape: dict[tuple, list[int]] = {}
+    for i, rec in enumerate(records):
+        by_shape.setdefault(rec.distorted.pixels.shape, []).append(i)
+    per_record = [None] * len(records)  # (planes, rows, cols, errors)
+    for (height, width), members in by_shape.items():
+        rows = patch_grid(height, cfg.patch_stride)
+        cols = patch_grid(width, cfg.patch_stride)
+        per_chunk = max(1, SAMPLE_CHUNK_PIXELS // max(height * width, len(cols) * PATCH_SIZE**2))
+        for start in range(0, len(members), per_chunk):
+            chunk = members[start : start + per_chunk]
+            dist = np.stack([records[i].distorted.pixels for i in chunk])
+            maps = mscn_map(dist, window)
+            diff = np.stack([records[i].reference.pixels for i in chunk])
+            np.subtract(dist, diff, out=diff)
+            errors = patch_means(np.abs(diff, out=diff), rows, cols).tolist()
+            for i, mean, var, mscn, rec_errors in zip(
+                chunk, maps.mean_map, maps.var_map, maps.mscn_map, errors
+            ):
+                planes = feature_planes(FeatureMaps(mean, var, mscn), records[i].distorted.pixels)
+                per_record[i] = (planes, rows, cols, rec_errors)
     samples = []
-    for rec in records:
-        dist = rec.distorted.pixels
-        planes = np.stack(feature_planes(mscn_map(dist, window), dist))
-        rows = patch_grid(dist.shape[0], cfg.patch_stride)
-        cols = patch_grid(dist.shape[1], cfg.patch_stride)
-        errors = patch_means(np.abs(dist - rec.reference.pixels), rows, cols)
-        for row, row_errors in zip(rows, errors.tolist()):
+    for rec, (planes, rows, cols, errors) in zip(records, per_record):
+        for row, row_errors in zip(rows, errors):
             for col, e in zip(cols, row_errors):
                 if e >= E_MIN:
                     samples.append(TrainingSample(planes, (row, col), e, rec.q_global))
@@ -203,11 +237,14 @@ def split_indices(samples: list[TrainingSample], cfg: TrainConfig) -> tuple[list
 
 
 def _stack_patches(samples: list[TrainingSample], indices) -> np.ndarray:
-    crops = []
-    for i in indices:
+    """The (B, 4, 32, 32) regressor batch of the samples at the given indices."""
+    indices = list(indices)
+    batch = np.empty((len(indices), 4, PATCH_SIZE, PATCH_SIZE))
+    for patch, i in zip(batch, indices):
         row, col = samples[i].origin
-        crops.append(samples[i].planes[:, row : row + PATCH_SIZE, col : col + PATCH_SIZE])
-    return np.stack(crops)
+        for out, plane in zip(patch, samples[i].planes):
+            out[...] = plane[row : row + PATCH_SIZE, col : col + PATCH_SIZE]
+    return batch
 
 
 def predict_sample_thresholds(

@@ -322,6 +322,26 @@ class TestHistogramCommand:
         assert str(manifest) in capsys.readouterr().err
 
 
+class TestManifestPairErrors:
+    @pytest.mark.parametrize("command", ["train", "histogram"])
+    @pytest.mark.parametrize(
+        "ref_shape, dist_shape",
+        [((20, 40), (20, 40)), ((40, 31), (40, 31)), ((64, 64), (64, 60))],
+        ids=["small", "narrow", "mismatch"],
+    )
+    def test_error_names_distorted_image(self, tmp_path, capsys, command, ref_shape, dist_shape):
+        save_pgm(GrayImage(np.full(ref_shape, 0.5)), tmp_path / "ref.pgm")
+        save_pgm(GrayImage(np.full(dist_shape, 0.4)), tmp_path / "bad_dist.pgm")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(MANIFEST_HEADER + "\nref.pgm,bad_dist.pgm,0.5,0,1,higher_is_worse\n")
+        code = run([command, "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                    *(["--epochs", "1"] if command == "train" else [])])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
+        assert "bad_dist.pgm" in err[0]
+
+
 class TestUsage:
     def test_unknown_flag(self):
         assert run(["gradcheck", "--bogus"]) == 1

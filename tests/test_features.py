@@ -68,6 +68,23 @@ class TestLocalMoments:
         assert np.max(np.abs(maps.mean_map - mean_o)) < 1e-10
         assert np.max(np.abs(maps.var_map - var_o)) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(3, 64, 64), (2, 40, 33)])
+    def test_stack_equals_each_image_bit_for_bit(self, shape):
+        stack = np.random.default_rng(sum(shape)).uniform(0.0, 1.0, shape)
+        w = gaussian_window()
+        maps = mscn_map(stack, w)
+        for k, img in enumerate(stack):
+            alone = mscn_map(img, w)
+            assert maps.mean_map[k].tobytes() == alone.mean_map.tobytes()
+            assert maps.var_map[k].tobytes() == alone.var_map.tobytes()
+            assert maps.mscn_map[k].tobytes() == alone.mscn_map.tobytes()
+
+    def test_stack_window_check_reads_image_axes(self):
+        # three images: the stack axis is shorter than the window, and allowed
+        assert mscn_map(np.zeros((3, 64, 64)), gaussian_window()).mscn_map.shape == (3, 64, 64)
+        with pytest.raises(DataError, match="window"):
+            mscn_map(np.zeros((9, 64, 5)), gaussian_window())
+
     def test_shift_by_constant(self):
         rng = np.random.default_rng(3)
         img = rng.uniform(0.1, 0.5, (16, 16))
@@ -177,6 +194,14 @@ class TestPatchMeans:
     def test_direct_arithmetic(self):
         dist = np.tile([[0.1, 0.2], [0.3, 0.4]], (16, 16))
         assert patch_means(np.abs(dist - np.zeros((32, 32))), [0], [0]) == pytest.approx(0.25, abs=1e-15)
+
+    def test_stack_equals_each_image_bit_for_bit(self):
+        stack = np.random.default_rng(4).uniform(0.0, 1.0, (5, 96, 130))
+        rows, cols = patch_grid(96, 7), patch_grid(130, 7)
+        means = patch_means(stack, rows, cols)
+        assert means.shape == (5, len(rows), len(cols))
+        for k, img in enumerate(stack):
+            assert means[k].tobytes() == patch_means(img, rows, cols).tobytes()
 
     @given(st.integers(32, 100), st.integers(32, 100), st.integers(1, 40), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

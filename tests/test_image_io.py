@@ -23,6 +23,11 @@ from visthresh.synthetic import load_oracle
 from conftest import make_image, write_pgm_bytes
 
 
+def tiled(quad: list[int]) -> list[int]:
+    """The 32x32 raster, row-major, that repeats a 2x2 pattern."""
+    return np.tile(np.reshape(quad, (2, 2)), (16, 16)).ravel().tolist()
+
+
 class TestLoadPgm:
     def test_scales_bytes_exactly(self, tmp_path):
         path = tmp_path / "a.pgm"
@@ -283,8 +288,8 @@ class TestQualityRecord:
             QualityRecord(make_image(np.zeros((4, 4))), make_image(np.zeros((4, 5))), 0.5)
 
     def test_load_quality_records(self, tmp_path):
-        write_pgm_bytes(tmp_path / "r.pgm", 2, 2, [10, 20, 30, 40])
-        write_pgm_bytes(tmp_path / "d.pgm", 2, 2, [12, 22, 28, 40])
+        write_pgm_bytes(tmp_path / "r.pgm", 32, 32, tiled([10, 20, 30, 40]))
+        write_pgm_bytes(tmp_path / "d.pgm", 32, 32, tiled([12, 22, 28, 40]))
         (tmp_path / "m.csv").write_text(
             f"{MANIFEST_HEADER}\nr.pgm,d.pgm,40.0,0,100,higher_is_worse\n"
         )
@@ -293,9 +298,9 @@ class TestQualityRecord:
         assert records[0].q_global == pytest.approx(0.4)
 
     def test_each_image_path_loaded_once(self, tmp_path, monkeypatch):
-        write_pgm_bytes(tmp_path / "r.pgm", 2, 2, [10, 20, 30, 40])
-        write_pgm_bytes(tmp_path / "d1.pgm", 2, 2, [12, 22, 28, 40])
-        write_pgm_bytes(tmp_path / "d2.pgm", 2, 2, [9, 25, 31, 44])
+        write_pgm_bytes(tmp_path / "r.pgm", 32, 32, tiled([10, 20, 30, 40]))
+        write_pgm_bytes(tmp_path / "d1.pgm", 32, 32, tiled([12, 22, 28, 40]))
+        write_pgm_bytes(tmp_path / "d2.pgm", 32, 32, tiled([9, 25, 31, 44]))
         (tmp_path / "m.csv").write_text(
             f"{MANIFEST_HEADER}\n"
             "r.pgm,d1.pgm,40.0,0,100,higher_is_worse\n"
@@ -315,5 +320,6 @@ class TestQualityRecord:
         assert records[0].reference is records[1].reference is records[2].reference
         assert records[0].distorted is records[2].distorted
         assert records[1].distorted is not records[0].distorted
-        assert records[1].distorted.pixels.tolist() == [[9 / 255, 25 / 255], [31 / 255, 44 / 255]]
+        want = np.reshape(tiled([9, 25, 31, 44]), (32, 32)) / 255
+        assert np.array_equal(records[1].distorted.pixels, want)
         assert [r.q_global for r in records] == pytest.approx([0.4, 0.6, 0.5])

@@ -6,7 +6,7 @@ import pytest
 
 from visthresh import synthetic, training
 from visthresh.errors import DataError, NumericError
-from visthresh.features import augment_patch, gaussian_window, mscn_map
+from visthresh.features import augment_patch, gaussian_window, mscn_map, patch_means
 from visthresh.image_io import GrayImage, QualityRecord
 from visthresh.quality_model import predict_quality
 from visthresh.regressor import (
@@ -34,9 +34,32 @@ from visthresh.training import (
 
 def make_pair(seed=0, size=64, noise=0.05, q=0.5) -> QualityRecord:
     rng = np.random.default_rng(seed)
-    ref = rng.uniform(0.2, 0.8, (size, size))
+    shape = size if isinstance(size, tuple) else (size, size)
+    ref = rng.uniform(0.2, 0.8, shape)
     dist = np.clip(ref + rng.uniform(-noise, noise, ref.shape), 0.0, 1.0)
     return QualityRecord(GrayImage(ref), GrayImage(dist), q)
+
+
+def per_record_samples(records, stride):
+    """Oracle: (planes, origin, e, q_target) from one mscn_map and one patch_means per record."""
+    out = []
+    for rec in records:
+        dist = rec.distorted.pixels
+        maps = mscn_map(dist, gaussian_window())
+        planes = (dist, maps.mean_map, maps.var_map, maps.mscn_map)
+        rows, cols = patch_grid(dist.shape[0], stride), patch_grid(dist.shape[1], stride)
+        errors = patch_means(np.abs(dist - rec.reference.pixels), rows, cols)
+        for i, row in enumerate(rows):
+            for j, col in enumerate(cols):
+                if errors[i, j] >= training.E_MIN:
+                    out.append((planes, (row, col), float(errors[i, j]), rec.q_global))
+    return out
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    while arr.base is not None:
+        arr = arr.base
+    return arr
 
 
 class TestPatchGrid:
@@ -99,6 +122,39 @@ class TestBuildSamples:
             want = augment_patch(maps, rec.distorted.pixels, s.origin, 32)
             assert np.array_equal(row, want), s.origin
 
+    @pytest.mark.parametrize("chunk_pixels", [training.SAMPLE_CHUNK_PIXELS, 20_000])
+    def test_grouped_build_equals_per_record_oracle(self, monkeypatch, chunk_pixels):
+        # 260 records of 32x32 cross a chunk boundary at the module budget;
+        # at 20,000 every shape group is cut into chunks of 2 to 19 records
+        # (a row of 6-8 patches counts 6,144-8,192 pixels); shapes interleave
+        shapes = [(32, 32)] * 260 + [(64, 64), (48, 80), (33, 70)] * 4
+        records = [make_pair(seed, shape, q=seed / 300) for seed, shape in enumerate(shapes)]
+        records[5] = QualityRecord(records[5].reference, records[5].reference, 0.5)  # no samples
+        records = [records[i] for i in np.random.default_rng(0).permutation(len(records))]
+        monkeypatch.setattr(training, "SAMPLE_CHUNK_PIXELS", chunk_pixels)
+        samples = build_samples(records, TrainConfig(patch_stride=7, epochs=1))
+        want = per_record_samples(records, 7)
+        assert [(s.origin, s.e, s.q_target) for s in samples] == [w[1:] for w in want]
+        for sample, (planes, *_) in zip(samples, want):
+            assert np.shares_memory(sample.planes[0], planes[0])  # the record's own pixels
+            assert [p.tobytes() for p in sample.planes] == [p.tobytes() for p in planes]
+        batch = training._stack_patches(samples, range(0, len(samples), 3))
+        for row, (planes, (r, c), *_) in zip(batch, want[::3]):
+            assert row.tobytes() == np.stack([p[r : r + 32, c : c + 32] for p in planes]).tobytes()
+
+    def test_row_of_patch_windows_counts_toward_the_chunk(self):
+        # 16 pairs of 32x512 at stride 1 fit one chunk by image pixels, but
+        # patch_means would copy 16 x 481 windows (60 MiB) per row at once
+        records = [make_pair(seed, (32, 512)) for seed in range(16)]
+        tracemalloc.start()
+        try:
+            samples = build_samples(records, TrainConfig(patch_stride=1, epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 16 * 481
+        assert peak < 24 * 2**20, f"build_samples peak {peak / 2**20:.1f} MiB"
+
     def test_samples_share_record_planes(self):
         # 4 pairs of 512x512 at stride 8 are 14,884 samples; a 32 KiB patch
         # copy per sample would need 465 MiB, the record planes need 32 MiB
@@ -116,6 +172,14 @@ class TestBuildSamples:
             tracemalloc.stop()
         assert len(samples) == 4 * 61 * 61
         assert peak < 64 * 2**20, f"build_samples peak {peak / 2**20:.1f} MiB"
+        # plane 0 is the record's own pixels; the mean, variance and MSCN
+        # views own at most 24 bytes per distorted pixel between them
+        for k, rec in enumerate(records):
+            for s in samples[k * 61 * 61 : (k + 1) * 61 * 61]:
+                assert np.shares_memory(s.planes[0], rec.distorted.pixels)
+        owners = {id(o): o for s in samples for o in map(_owner, s.planes[1:])}
+        held = sum(o.nbytes for o in owners.values())
+        assert held <= 24 * 4 * 512 * 512, f"samples hold {held / 2**20:.1f} MiB of planes"
 
 
 class TestAdam:
