@@ -33,18 +33,16 @@ class PairedData:
 
     x: np.ndarray
     y: np.ndarray
-    luminance: np.ndarray | None = None
+    luminance: np.ndarray
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         if x.shape != y.shape or x.ndim != 1:
             raise DataError(f"paired data must be equal-length vectors, got {x.shape} vs {y.shape}")
-        lum = self.luminance
-        if lum is not None:
-            lum = np.asarray(lum, dtype=np.float64)
-            if lum.shape != x.shape:
-                raise DataError("luminance metadata length does not match the pairs")
+        lum = np.asarray(self.luminance, dtype=np.float64)
+        if lum.shape != x.shape:
+            raise DataError("luminance metadata length does not match the pairs")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "luminance", lum)
@@ -92,7 +90,7 @@ class EvalResult:
     n_total: int
     n_kept: int
     excluded_indices: tuple[int, ...]
-    band: tuple[float, float] | None
+    band: tuple[float, float]
     fit: MonotoneCubic
 
     def to_dict(self) -> dict:
@@ -103,7 +101,7 @@ class EvalResult:
             "n_total": self.n_total,
             "n_kept": self.n_kept,
             "excluded_indices": list(self.excluded_indices),
-            "band": list(self.band) if self.band is not None else None,
+            "band": list(self.band),
             "fit_coefficients": list(self.fit.coefficients),
             "fit_direction": self.fit.direction,
             "fit_residual_rmse": self.fit.residual_rmse,
@@ -235,24 +233,17 @@ def fit_monotonic_cubic(x, y) -> MonotoneCubic:
     )
 
 
-def evaluate(data: PairedData, band: tuple[float, float] | None = None) -> EvalResult:
-    """Correlation statistics, optionally restricted to a mean-luminance band.
+def evaluate(data: PairedData, band: tuple[float, float]) -> EvalResult:
+    """Correlation statistics over the pairs inside a mean-luminance band.
 
-    With a band, pairs whose luminance lies outside [lo, hi] are excluded
-    and every statistic (including the polynomial fit) is recomputed on
-    the kept subset.  Band endpoints on the 0..255 scale.
+    Pairs whose luminance lies outside [lo, hi] are excluded and every
+    statistic (including the polynomial fit) is computed on the kept
+    subset.  Band endpoints on the 0..255 scale; (-inf, inf) keeps all.
     """
-    n_total = len(data)
-    if band is not None:
-        if data.luminance is None:
-            raise DataError("luminance band filtering requires per-pair luminance metadata")
-        lo, hi = band
-        keep = (data.luminance >= lo) & (data.luminance <= hi)
-        excluded = tuple(int(i) for i in np.flatnonzero(~keep))
-        x, y = data.x[keep], data.y[keep]
-    else:
-        excluded = ()
-        x, y = data.x, data.y
+    lo, hi = band
+    keep = (data.luminance >= lo) & (data.luminance <= hi)
+    excluded = tuple(int(i) for i in np.flatnonzero(~keep))
+    x, y = data.x[keep], data.y[keep]
     if x.size < 4:
         raise DataError(f"fewer than 4 points kept for evaluation ({x.size})")
     fit = fit_monotonic_cubic(x, y)
@@ -261,10 +252,10 @@ def evaluate(data: PairedData, band: tuple[float, float] | None = None) -> EvalR
         plcc_raw=plcc(x, y),
         plcc_fitted=plcc(fitted, y),
         rmse_fitted=rmse(fitted, y),
-        n_total=n_total,
+        n_total=len(data),
         n_kept=int(x.size),
         excluded_indices=excluded,
-        band=tuple(band) if band is not None else None,
+        band=tuple(band),
         fit=fit,
     )
 

@@ -120,10 +120,10 @@ def load_pgm(path) -> GrayImage:
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _read_header_token(data, pos)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise DataError(f"{path}: malformed PGM header, non-numeric {name} {token!r}") from None
+        # decimal digits only, as netpbm reads them: int() would take "+2" or "1_0"
+        if not token.isdigit():
+            raise DataError(f"{path}: malformed PGM header, non-numeric {name} {token!r}")
+        fields.append(int(token))
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise DataError(f"{path}: zero or negative dimensions {width}x{height}")

@@ -7,21 +7,26 @@ luminance on the 0..255 scale for later outlier filtering.
 
 The network's two 2x2 pools make patches whose origins differ by a
 multiple of 4 share every convolution output, so the map is not built
-from one forward per cell.  The grid origins are split by phase
-(row mod 4, col mod 4).  The columns of each phase's lattice are split
-into strips of at most TILE_CELLS cells (_tiles), and for each row phase
-that occurs the conv stack walks each strip that holds a grid column from
-top to bottom (regressor.lattice_thresholds): in bands of lattice rows
-that carry the rows the next band reads, skipping bands that hold no grid
-row, so no convolution output of a strip is made twice.  The fc head runs
-only on the lattice rows that hold a grid origin, on every cell of such a
-row.  The border column, when not of phase 0, is a strip of its own, so
-a stride that asks for no other cell of its phase pays a narrow strip for
-it.  Strips are fixed by the image width and the phase, so every GEMM's
-shape, and with it a cell's value, does not depend on the stride, and a
-strip's width bounds the working memory whatever the image size.  A cell
-equals the single-patch forward to within 1e-12 relative (the
-convolutions sum in another order); repeated runs are bit-identical.
+from one forward per cell.  Rows and columns are grouped by one rule
+(_strips): each phase's lattice (origins = phase mod 4) is one
+full-length strip, and the border origin length - 32, when not of phase 0
+and its phase has 2 or more cells, is a 32-pixel strip of its own, so a
+stride that asks for no other cell of its phase pays a narrow strip for
+it.  For each row strip x column strip that holds a grid origin, the conv
+stack walks the rectangle top to bottom (regressor.lattice_thresholds):
+in bands of lattice rows that carry the rows the next band reads,
+skipping bands that hold no grid row, so no convolution output of a pass
+is made twice.  The fc head runs only on the lattice rows that hold a
+grid origin, on every cell of such a row.  A strip is fixed by its first
+pixel and the axis length, so every GEMM's shape, and with it a cell's
+value, does not depend on the stride.  The working memory is about
+44 KiB per lattice column of the widest strip (55 KiB when a band makes
+its own halo), whatever the image height.  A band that makes its own
+halo over a wide strip does not keep its conv2 accumulator in cache,
+which costs strides above 16 (they skip most bands) 13-23% at 512 x 512;
+no caller predicts above the default stride 16.  A cell equals the
+single-patch forward to within 1e-12 relative (the convolutions sum in
+another order); repeated runs are bit-identical.
 
 Maps can be decimated to a coarser grid with a block-averaging filter,
 min-max normalized for visualization, and exported as CSV with a JSON
@@ -30,7 +35,6 @@ sidecar.
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -45,15 +49,8 @@ from .features import (
 )
 from .image_io import GrayImage
 from .quality_model import T_MIN
-from .regressor import PNetParams, _forward_batch, lattice_thresholds, params_digest
+from .regressor import LATTICE, PNetParams, _forward_batch, lattice_thresholds, params_digest
 
-LATTICE = 4  # origin spacing at which patches share conv outputs (two 2x2 pools)
-# lattice cells per column strip: 284-pixel strips, so a 256-pixel axis is
-# one strip and the 28-pixel halo of the next strip is a small share of a
-# wider one; a strip pass walks bands of rows (regressor.lattice_thresholds)
-# and peaks under 3 MiB.  A strip may hold TILE_CELLS + 1 cells (288
-# pixels), see _strip_edges.
-TILE_CELLS = 64
 # ThresholdMap fields that the JSON sidecar stores under their own names
 GEOMETRY_KEYS = ("origin_stride", "patch_size", "source_width", "source_height")
 
@@ -77,59 +74,40 @@ class ThresholdMap:
     model_digest: str | None = None
 
 
-def _lattice_cells(length: int, phase: int) -> int:
-    """Patch origins of one phase that fit on an axis of length pixels."""
-    return (length - PATCH_SIZE - phase) // LATTICE + 1
+def _strips(origins: list[int], length: int) -> list[tuple[int, int, list[int], list[int]]]:
+    """Group an axis's grid origins into the strips lattice_thresholds walks.
 
-
-def _strip_edges(length: int, phase: int) -> list[int]:
-    """Lattice cells at which one phase's strips start, then its cell count.
-
-    Strips start every TILE_CELLS cells from cell 0.  When that would leave
-    a last strip of a single cell, the strip before it takes that cell
-    (TILE_CELLS + 1 cells): a one-cell strip pass, all halo, costs about a
-    quarter of a full one.  The border origin length - 32, when it is not
-    of phase 0, is a strip of its own: every stride whose grid does not
-    reach it asks for it, and a stride that is a multiple of 4 asks for no
-    other cell of its phase.
+    Each phase's lattice (origins = phase mod LATTICE) is one full-length
+    strip.  The border origin length - 32, when it is not of phase 0 and
+    its phase has 2 or more cells, is a 32-pixel strip of its own:
+    patch_grid adds it to every grid that does not reach it, and a stride
+    that is a multiple of 4 asks for no other cell of its phase.  Returns (first
+    pixel, end pixel, grid indices, lattice cells within the strip) per
+    strip that holds at least one origin.  A strip is fixed by its first
+    pixel and the axis length alone, never by the stride.
     """
-    n = _lattice_cells(length, phase)
-    border = n > 1 and phase != 0 and phase == (length - PATCH_SIZE) % LATTICE
-    body = n - 1 if border else n
-    edges = list(range(0, body, TILE_CELLS))
-    if len(edges) > 1 and body - edges[-1] == 1:
-        edges.pop()
-    return edges + [body] + ([n] if border else [])
-
-
-def _tiles(origins: list[int], length: int) -> list[tuple[int, int, list[int], list[int]]]:
-    """Group the grid's column origins into the lattice strips of _strip_edges.
-
-    Returns (first pixel, end pixel, grid indices, cells within the strip)
-    per strip that holds at least one origin.  An origin's strip is fixed
-    by its phase, its lattice position and the axis length alone.
-    """
-    members: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    border = length - PATCH_SIZE
+    alone = border % LATTICE != 0 and border > LATTICE
+    members: dict[int, list[tuple[int, int]]] = {}
     for k, origin in enumerate(origins):
-        phase, cell = origin % LATTICE, origin // LATTICE
-        edges = _strip_edges(length, phase)
-        s = bisect.bisect_right(edges, cell) - 1
-        members.setdefault((phase, edges[s], edges[s + 1]), []).append((k, cell - edges[s]))
-    tiles = []
-    for (phase, first, end), pairs in sorted(members.items()):
-        start = phase + LATTICE * first
-        grid_idx, tile_idx = zip(*pairs)
-        tiles.append((start, start + LATTICE * (end - first - 1) + PATCH_SIZE,
-                      list(grid_idx), list(tile_idx)))
-    return tiles
+        first = origin if alone and origin == border else origin % LATTICE
+        members.setdefault(first, []).append((k, (origin - first) // LATTICE))
+    strips = []
+    for first, pairs in sorted(members.items()):
+        last = border - (border - first) % LATTICE  # the strip's last origin
+        if alone and first == border % LATTICE:
+            last -= LATTICE  # the border origin is a strip of its own
+        grid_idx, cells = zip(*pairs)
+        strips.append((first, last + PATCH_SIZE, list(grid_idx), list(cells)))
+    return strips
 
 
 def predict_map(img: GrayImage, params: PNetParams, stride: int) -> ThresholdMap:
     """Predict a threshold per patch origin on the patch grid.
 
-    The conv stack walks each strip once per row phase (see the module
-    docstring), so every cell is within 1e-12 relative of an independent
-    single-patch prediction, a cell's value is the same at every stride
+    The conv stack walks each row strip x column strip once (see the
+    module docstring), so every cell is within 1e-12 relative of an
+    independent single-patch prediction, a cell's value is the same at every stride
     whose grid holds its origin, and repeated runs are bit-identical.  The
     mean luminance is computed per patch, as augment_patch would crop it.
     """
@@ -139,14 +117,11 @@ def predict_map(img: GrayImage, params: PNetParams, stride: int) -> ThresholdMap
     rows, cols = patch_grid(arr.shape[0], stride), patch_grid(arr.shape[1], stride)
     planes = feature_planes(mscn_map(arr, gaussian_window()), arr)
     values = np.empty((len(rows), len(cols)))
-    phases: dict[int, list[int]] = {}
-    for k, origin in enumerate(rows):
-        phases.setdefault(origin % LATTICE, []).append(k)
-    for left, right, grid_cols, strip_cols in _tiles(cols, arr.shape[1]):
-        for phase, grid_rows in phases.items():
-            bottom = phase + LATTICE * (_lattice_cells(arr.shape[0], phase) - 1) + PATCH_SIZE
-            strip = [plane[phase:bottom, left:right] for plane in planes]
-            cells = lattice_thresholds(strip, params, [rows[k] // LATTICE for k in grid_rows])
+    col_strips = _strips(cols, arr.shape[1])
+    for top, bottom, grid_rows, strip_rows in _strips(rows, arr.shape[0]):
+        for left, right, grid_cols, strip_cols in col_strips:
+            strip = [plane[top:bottom, left:right] for plane in planes]
+            cells = lattice_thresholds(strip, params, strip_rows)
             values[np.ix_(grid_rows, grid_cols)] = cells[:, strip_cols]
     luminance = patch_means(arr, rows, cols) * 255.0
     return ThresholdMap(

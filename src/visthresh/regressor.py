@@ -20,9 +20,10 @@ The global log-scale parameter ``a`` rides along with the network
 parameters but its gradient comes from the quality model.
 
 Threshold maps use an eval-only strip pass instead (lattice_thresholds):
-the convolutions and pools walk a full-height strip of a feature image
-top to bottom in bands that carry the rows the next band reads, and every
-patch whose origin is a multiple of 4 reads its pool-2 output from them.
+the convolutions and pools walk one row strip x column strip of a
+feature image top to bottom in bands that carry the rows the next band
+reads, and every patch whose origin is a multiple of 4 reads its pool-2
+output from them.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ FLAT_SIZE = CONV2_FILTERS * 5 * 5  # 800 after the second pool
 DROPOUT_RATE = 0.5
 STRIP_ROWS = 4  # conv1 output rows per im2col GEMM of a strip pass
 BAND_ROWS = 4  # lattice rows per band of a strip pass (lattice_thresholds)
+LATTICE = 4  # origin spacing at which patches share conv outputs (two 2x2 pools)
 
 CHECKPOINT_MAGIC = b"VTH1"
 _ARCH = (PATCH_SIZE, IN_CHANNELS, CONV1_FILTERS, CONV2_FILTERS, KERNEL_SIZE, FC1_NODES)
@@ -429,18 +431,19 @@ def _band(x, params: PNetParams, first: int, last: int, carry):
 
 
 def lattice_thresholds(x, params: PNetParams, rows) -> np.ndarray:
-    """Eval-mode thresholds of the patches of a strip whose origin is a multiple of 4.
+    """Eval-mode thresholds of the patches of x whose origin is a multiple of 4.
 
-    x holds the four (4m + 28, 4n + 28) feature planes of the strip, as one
-    (4, H, W) array or a sequence of planes; cell (i, j) of the (m, n)
-    lattice is the threshold of the patch at pixel (4i, 4j).  rows picks
-    the lattice rows returned, in that order.
+    x holds the four (4m + 28, 4n + 28) feature planes of one row strip x
+    column strip of a map (inference._strips), as one (4, H, W) array or a
+    sequence of planes; cell (i, j) of the (m, n) lattice is the threshold
+    of the patch at pixel (4i, 4j).  rows picks the lattice rows returned,
+    in that order.
 
-    The conv stack walks the strip top to bottom in bands of BAND_ROWS
-    lattice rows (_band), each carrying the rows the next one reads, so no
+    The conv stack walks x top to bottom in bands of BAND_ROWS lattice
+    rows (_band), each carrying the rows the next one reads, so no
     convolution output is made twice and the working memory is bounded by
-    the strip's width, not its height.  A band that holds no requested row
-    is skipped, and the band after it makes its own halo.  The 5x5 window
+    the width of x, not its height.  A band that holds no requested row is
+    skipped, and the band after it makes its own halo.  The 5x5 window
     of pool-2 rows i .. i + 4 is the pool-2 output of the patch of lattice
     row i: both pools pair the same rows and columns as they do inside the
     patch.  Every conv1 GEMM is one STRIP_ROWS-row strip and every conv2
@@ -452,8 +455,8 @@ def lattice_thresholds(x, params: PNetParams, rows) -> np.ndarray:
     convolutions sum in another order, every other operation is the same.
     """
     rows = list(rows)
-    m = (x[0].shape[0] - PATCH_SIZE) // 4 + 1
-    n = (x[0].shape[1] - PATCH_SIZE) // 4 + 1
+    m = (x[0].shape[0] - PATCH_SIZE) // LATTICE + 1
+    n = (x[0].shape[1] - PATCH_SIZE) // LATTICE + 1
     out = np.empty((len(rows), n))
     carry, done = None, None
     for band in sorted({i // BAND_ROWS for i in rows}):

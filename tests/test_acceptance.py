@@ -173,12 +173,12 @@ class TestCriterion6ProtocolMechanics:
         y = 4.0 * x + rng.normal(0, 0.1, 60)
         lum = rng.uniform(20.0, 240.0, 60)
         data = PairedData(x=x, y=y, luminance=lum)
-        a = evaluate(data)
+        a = evaluate(data, band=(-math.inf, math.inf))
         b = evaluate(data, band=(0.0, 255.0))
         assert a.plcc_raw == b.plcc_raw
         assert a.plcc_fitted == b.plcc_fitted
         assert a.rmse_fitted == b.rmse_fitted
-        report(6, "evaluate with band [0,255] identical to evaluate without a band")
+        report(6, "evaluate with band [0,255] identical to the keep-all band (-inf, inf)")
 
     def test_outlier_filtering_raises_fitted_plcc(self):
         rng = np.random.default_rng(60)
@@ -193,7 +193,7 @@ class TestCriterion6ProtocolMechanics:
             y=np.concatenate([y, y_out]),
             luminance=np.concatenate([lum, lum_out]),
         )
-        unfiltered = evaluate(data)
+        unfiltered = evaluate(data, band=(-math.inf, math.inf))
         filtered = evaluate(data, band=DEFAULT_LUMINANCE_BAND)
         assert filtered.plcc_fitted > unfiltered.plcc_fitted
         assert filtered.n_kept == 100 and filtered.n_total == 108

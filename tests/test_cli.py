@@ -151,6 +151,19 @@ class TestPredict:
         assert code == 2
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", [b"P5 1_0 1 255\n", b"P5 +2 1 255\n", b"P5 1 1 2_55\n"],
+                             ids=["underscore_width", "signed_width", "underscore_maxval"])
+    def test_non_digit_pgm_header_field_is_data_error(self, tiny_checkpoint, tmp_path, capsys,
+                                                      header):
+        # int() would read these as 10, 2 and 255; netpbm takes decimal digits only
+        img_path = tmp_path / "odd.pgm"
+        img_path.write_bytes(header + bytes(10))
+        code = run(["predict", "--model", str(tiny_checkpoint), "--image", str(img_path),
+                    "--out", str(tmp_path / "map")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "non-numeric" in err, err
+
 
 class TestEvaluate:
     @pytest.fixture

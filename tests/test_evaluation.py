@@ -269,7 +269,7 @@ class TestEvaluate:
     def test_full_band_equals_no_band(self):
         x, y, lum = self.make_clean_scatter()
         data = build_paired(x, y, lum)
-        no_band = evaluate(data)
+        no_band = evaluate(data, band=(-math.inf, math.inf))
         full_band = evaluate(data, band=(0.0, 255.0))
         assert no_band.plcc_raw == full_band.plcc_raw
         assert no_band.plcc_fitted == full_band.plcc_fitted
@@ -287,16 +287,11 @@ class TestEvaluate:
             np.concatenate([x, x_out]), np.concatenate([y, y_out]),
             np.concatenate([lum, lum_out]),
         )
-        unfiltered = evaluate(data)
+        unfiltered = evaluate(data, band=(-math.inf, math.inf))
         filtered = evaluate(data, band=DEFAULT_LUMINANCE_BAND)
         assert filtered.plcc_fitted > unfiltered.plcc_fitted
         assert filtered.n_kept == 80 and filtered.n_total == 84
         assert set(filtered.excluded_indices) == {80, 81, 82, 83}
-
-    def test_band_requires_luminance(self):
-        x, y, _ = self.make_clean_scatter()
-        with pytest.raises(DataError, match="luminance"):
-            evaluate(PairedData(x=x, y=y), band=(10.0, 250.0))
 
     def test_too_few_kept(self):
         x, y, lum = self.make_clean_scatter(n=10)

@@ -64,6 +64,11 @@ class TestLoadPgm:
         with pytest.raises(DataError, match="dimensions"):
             load_pgm(path)
 
+    def test_leading_zero_header_field_loads(self, tmp_path):
+        path = tmp_path / "zero_padded.pgm"
+        path.write_bytes(b"P5\n2 01\n0255\n\x10\x20")
+        assert load_pgm(path).pixels.tolist() == [[16 / 255, 32 / 255]]
+
     def test_accepts_header_comments(self, tmp_path):
         path = tmp_path / "comment.pgm"
         path.write_bytes(b"P5\n# made by hand\n2 1\n255\n\x10\x20")

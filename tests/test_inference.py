@@ -10,10 +10,9 @@ from visthresh.features import augment_patch, gaussian_window, mscn_map, patch_g
 from visthresh.image_io import GrayImage
 from visthresh.inference import (
     LATTICE,
-    TILE_CELLS,
     ThresholdMap,
     _bin_edges,
-    _tiles,
+    _strips,
     decimate_map,
     export_map,
     load_map,
@@ -125,10 +124,10 @@ class TestPredictMap:
     @pytest.mark.parametrize("stride", [4, 13, 16])
     def test_every_cell_matches_per_patch_forward_across_tiles(self, stride, trained_like_params):
         # 262x302 holds 58x68 lattice cells: 15 bands of BAND_ROWS, the last
-        # one partial, and two column strips, the second one partial; the
-        # border origins 230 and 270 are of phase 2 at every stride
+        # one partial; the border origins 230 and 270 are of phase 2, strips
+        # of their own at every stride
         shape = (262, 302)
-        assert (shape[0] - 32) // 4 + 1 > 14 * BAND_ROWS and (shape[1] - 32) // 4 + 1 > TILE_CELLS
+        assert (shape[0] - 32) // 4 + 1 > 14 * BAND_ROWS
         img = GrayImage(np.random.default_rng(shape).uniform(0.1, 0.9, shape))
         maps = mscn_map(img.pixels, gaussian_window())
         tmap = predict_map(img, trained_like_params, stride)
@@ -139,15 +138,15 @@ class TestPredictMap:
                 want = single_patch_threshold(maps, img.pixels, (r, c), trained_like_params)
                 assert_rel_close(tmap.values[i, j], want)
 
-    def test_merged_sliver_tiles_match_per_patch_forward(self, trained_like_params):
+    def test_one_row_band_and_border_column_match_per_patch_forward(self, trained_like_params):
         # 224 rows hold 12 * BAND_ROWS + 1 phase-0 lattice cells, so the last
-        # band holds one row; 290 columns hold TILE_CELLS + 1 cells of phases
-        # 0, 1 and 2: phases 0 and 1 end in a strip that took in a one-cell
-        # sliver, phase 2 splits off the border origin 258 as a strip of its own
+        # band holds one row; the border column 258 is of phase 2, whose
+        # lattice holds 65 cells, so it is a strip of its own
         shape = (224, 290)
         assert (shape[0] - 32) // 4 + 1 == 12 * BAND_ROWS + 1
-        assert (shape[1] - 32) // 4 + 1 == (shape[1] - 34) // 4 + 1 == TILE_CELLS + 1
-        assert (shape[1] - 32) % LATTICE == 2
+        assert (shape[1] - 32) % LATTICE == 2 and (shape[1] - 34) // 4 + 1 == 65
+        border = [s for s in _strips(patch_grid(shape[1], 16), shape[1]) if s[0] == shape[1] - 32]
+        assert [s[:2] for s in border] == [(shape[1] - 32, shape[1])]
         img = GrayImage(np.random.default_rng(12).uniform(0.1, 0.9, shape))
         maps = mscn_map(img.pixels, gaussian_window())
         reference = {}
@@ -165,8 +164,8 @@ class TestPredictMap:
     def test_multi_tile_stride_subgrids_bit_identical(self, trained_like_params):
         # each coarser grid's origins, border origins included, are a subset
         # of the finer grid's, and the cells they share are equal bit for bit;
-        # (224, 290) ends phase 0's columns in a strip that took in a one-cell
-        # sliver, and stride 64 skips bands, so its bands make their own halo
+        # both shapes have a phase-2 border column, 300 rows a phase-0 border
+        # row, and stride 64 skips bands, so its bands make their own halo
         for seed, shape in ((11, (300, 302)), (13, (224, 290))):
             img = GrayImage(np.random.default_rng(seed).uniform(0.1, 0.9, shape))
             maps = {s: predict_map(img, trained_like_params, s) for s in (4, 8, 16, 64)}
@@ -180,7 +179,7 @@ class TestPredictMap:
                 )
 
     def test_traced_peak_memory_bounded(self, trained_like_params):
-        # tiles bound the working set; a whole-image im2col would need > 200 MB
+        # strips bound the working set; a whole-image im2col would need > 200 MB
         img = GrayImage(np.random.default_rng(5).uniform(0.1, 0.9, (512, 512)))
         tracemalloc.start()
         try:
@@ -191,20 +190,23 @@ class TestPredictMap:
         assert peak < 16 * 2**20
 
     def test_tile_pass_traced_peak_bounded(self, trained_like_params):
-        # conv1 runs in row strips and the conv stack in bands: a whole-strip
-        # im2col alone would be 11 MiB; the last strip of an axis may hold
-        # one cell more, and the strip is 4 bands tall
+        # conv1 runs in row strips and the conv stack in bands, so a strip
+        # pass peaks at about 44 KiB per lattice column, 55 KiB when a band
+        # after a skipped one makes its own halo; a whole-strip im2col of 64
+        # cells alone would be 11 MiB.  121 cells is the widest strip of a
+        # 512-pixel axis; each strip is 4 bands tall
         rows = 4 * BAND_ROWS
-        for cells in (TILE_CELLS, TILE_CELLS + 1):
+        for cells in (64, 121):
             shape = (4, LATTICE * rows + 28, LATTICE * cells + 28)
             strip = np.random.default_rng(6).standard_normal(shape)
-            tracemalloc.start()
-            try:
-                lattice_thresholds(strip, trained_like_params, range(rows))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 5 * 2**20
+            for wanted in (range(rows), [0, 3 * BAND_ROWS]):
+                tracemalloc.start()
+                try:
+                    lattice_thresholds(strip, trained_like_params, wanted)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 5 * 2**20 * cells / 65, (cells, list(wanted), peak)
 
     def test_stride_subgrid_consistency(self, test_image, trained_like_params):
         fine = predict_map(test_image, trained_like_params, stride=16)
@@ -225,27 +227,32 @@ class TestPredictMap:
             predict_map(test_image, trained_like_params, stride=0)
 
 
-class TestTiles:
-    def test_phase_lattice_split_without_one_cell_tiles(self):
-        # stride 1 holds every origin of every phase; each phase's lattice is
-        # split into consecutive strips of TILE_CELLS cells, the last one
-        # holding 2..TILE_CELLS + 1 (or the whole lattice, if it has 1 cell);
-        # the border origin length - 32, when not of phase 0, is a strip of
-        # its own after them
-        for length in range(32, 4 * (2 * TILE_CELLS + 2) + 32):
-            origins = patch_grid(length, 1)
-            by_phase = {}
-            for start, end, grid_idx, tile_idx in _tiles(origins, length):
-                n_cells = (end - start - 32) // LATTICE + 1
-                assert [origins[k] for k in grid_idx] == [start + LATTICE * t for t in tile_idx]
-                assert list(tile_idx) == list(range(n_cells))
-                by_phase.setdefault(start % LATTICE, []).append(n_cells)
-            for phase, sizes in by_phase.items():
-                assert sum(sizes) == (length - 32 - phase) // LATTICE + 1, length
-                if phase and phase == (length - 32) % LATTICE and sum(sizes) > 1:
-                    assert sizes.pop() == 1, length
-                assert all(n == TILE_CELLS for n in sizes[:-1]), length
-                assert 2 <= sizes[-1] <= TILE_CELLS + 1 or len(sizes) == sizes[-1] == 1, length
+class TestStrips:
+    def test_one_strip_per_phase_and_a_border_strip(self):
+        # each phase's lattice is one strip; the border origin length - 32,
+        # when not of phase 0 and its phase has 2 or more cells, is a
+        # one-cell strip; a strip's pixel span depends on the length alone
+        for length in range(32, 4 * 130 + 33):
+            border = length - 32
+            spans = {}
+            for stride in (1, 4, 7, 16):
+                origins = patch_grid(length, stride)
+                seen = []
+                for first, end, grid_idx, cells in _strips(origins, length):
+                    phase = first % LATTICE
+                    phase_cells = (border - phase) // LATTICE + 1
+                    alone = phase != 0 and phase == border % LATTICE and phase_cells >= 2
+                    if first == border and alone:
+                        n_cells = 1
+                    else:
+                        assert first == phase, (length, first)
+                        n_cells = phase_cells - alone
+                    assert end - first == LATTICE * n_cells + 28, (length, first)
+                    assert [origins[k] for k in grid_idx] == [first + LATTICE * c for c in cells]
+                    assert all(0 <= c < n_cells for c in cells)
+                    assert spans.setdefault(first, end) == end, (length, first, stride)
+                    seen += grid_idx
+                assert sorted(seen) == list(range(len(origins))), (length, stride)
 
 
 class TestLatticeThresholds:
